@@ -26,13 +26,15 @@
 //!
 //! Requests are served synchronously in arrival order; the daemon is a
 //! sequencer, not a parallel server (the parallelism lives inside each
-//! batch's evaluation).
+//! batch's evaluation). Because connections are served one at a time,
+//! each accepted socket gets fixed read and write timeouts
+//! ([`service::CONN_TIMEOUT`]): a client that connects and idles is
+//! dropped instead of wedging the daemon.
 
 use schematic_bench::cache::CellCache;
 use schematic_bench::grid::GridMode;
-use schematic_bench::json::Json;
-use schematic_bench::service::{read_frame, write_frame, Daemon, FrameError};
-use std::net::{TcpListener, TcpStream};
+use schematic_bench::service::{self, Daemon};
+use std::net::TcpListener;
 use std::process::ExitCode;
 
 struct Options {
@@ -80,37 +82,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Serves one connection until the peer closes it. Returns `true` when
-/// a `shutdown` request was handled.
-fn serve(daemon: &mut Daemon, stream: &mut TcpStream) -> bool {
-    loop {
-        let req = match read_frame(stream) {
-            Ok(Some(req)) => req,
-            Ok(None) => return false, // clean disconnect
-            Err(e) => {
-                // A torn or garbage frame ends this connection, not the
-                // daemon; try to tell the peer why.
-                let resp = schematic_bench::json::Json::Obj(vec![
-                    ("ok".into(), Json::Bool(false)),
-                    ("error".into(), Json::Str(e.to_string())),
-                ]);
-                let _ = write_frame(stream, &resp);
-                if !matches!(e, FrameError::Syntax(_) | FrameError::Oversize(_)) {
-                    return false;
-                }
-                continue;
-            }
-        };
-        let (resp, shutdown) = daemon.handle(&req);
-        if write_frame(stream, &resp).is_err() {
-            return shutdown;
-        }
-        if shutdown {
-            return true;
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
     let cache = if opts.no_cache {
@@ -153,7 +124,11 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        if serve(&mut daemon, &mut stream) {
+        if let Err(e) = service::prepare_connection(&stream, service::CONN_TIMEOUT) {
+            eprintln!("gridd: socket setup: {e}");
+            continue;
+        }
+        if service::serve_connection(&mut daemon, &mut stream) {
             break;
         }
     }

@@ -497,6 +497,9 @@ fn progress_enabled() -> bool {
 fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), String> {
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("connect {addr}: {e}"))?;
     let obj = |pairs: Vec<(&str, Json)>| {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     };

@@ -687,11 +687,16 @@ impl CellStore {
         }
     }
 
+    /// Every cell, in the grid's stable (job key) order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Job, &CellValue)> {
+        self.cells.iter()
+    }
+
     /// Serializes every cell, one JSON object per line, in the grid's
     /// stable order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (job, value) in &self.cells {
+        for (job, value) in self.iter() {
             out.push_str(&cell_to_json(job, value).encode());
             out.push('\n');
         }

@@ -97,11 +97,13 @@ impl Json {
     /// Serializes to compact JSON (no whitespace).
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.encode_into(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact encoding to `out`, so a caller can frame it
+    /// without a second buffer.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -116,7 +118,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.encode_into(out);
                 }
                 out.push(']');
             }
@@ -128,7 +130,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.encode_into(out);
                 }
                 out.push('}');
             }
@@ -144,43 +146,64 @@ impl Json {
     /// positioned [`JsonError`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing content"));
         }
         Ok(v)
     }
 }
 
+/// Whether a string byte must be escaped: the JSON delimiters and the
+/// C0 controls. Every such byte is ASCII, so it never splits a UTF-8
+/// scalar and the runs between them are valid `str` slices.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The input; string runs are copied out of it as `str` slices.
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -189,7 +212,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -199,11 +222,11 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, lit: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -234,8 +257,8 @@ impl<'a> Parser<'a> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("floats are not part of the artifact dialect"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<u64>()
+        self.text[start..self.pos]
+            .parse::<u64>()
             .map(Json::UInt)
             .map_err(|_| self.err("integer does not fit in u64"))
     }
@@ -322,34 +345,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Copy one multi-byte UTF-8 scalar. Validate at most
-                    // the next 4 bytes — validating the whole remaining
-                    // input here made string parsing quadratic.
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let chunk = &self.bytes[self.pos..end];
-                    let c = match std::str::from_utf8(chunk) {
-                        Ok(s) => s.chars().next().expect("non-empty"),
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&chunk[..e.valid_up_to()])
-                                .expect("validated prefix")
-                                .chars()
-                                .next()
-                                .expect("non-empty")
-                        }
-                        Err(_) => {
-                            return Err(JsonError {
-                                message: "invalid UTF-8".into(),
-                                at: self.pos,
-                            })
-                        }
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the maximal run up to the next quote,
+                    // backslash or control byte in one go. Those bytes
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    let run = self.bytes()[start..].iter().position(|&b| needs_escape(b));
+                    self.pos = run.map_or(self.text.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -375,10 +378,10 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.bytes().len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
+        let text = std::str::from_utf8(&self.bytes()[self.pos..end])
             .map_err(|_| self.err("non-ASCII in \\u escape"))?;
         let v = u32::from_str_radix(text, 16).map_err(|_| self.err("bad hex in \\u escape"))?;
         self.pos = end;
@@ -465,5 +468,178 @@ mod tests {
             Json::parse("\"\\u0001\"").unwrap(),
             Json::Str("\u{1}".into())
         );
+    }
+
+    /// SplitMix64 — the deterministic driver of the differential tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..hi`.
+        fn range(&mut self, lo: u32, hi: u32) -> u32 {
+            lo + (self.next() % u64::from(hi - lo)) as u32
+        }
+
+        /// A scalar value in `lo..hi`, skipping the surrogate block.
+        fn scalar(&mut self, lo: u32, hi: u32) -> char {
+            loop {
+                if let Some(c) = char::from_u32(self.range(lo, hi)) {
+                    return c;
+                }
+            }
+        }
+    }
+
+    /// The per-char encoder the run-copying `write_escaped` replaced:
+    /// the byte-for-byte reference for the differential test.
+    fn reference_escaped(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A random string mixing ASCII runs, quotes, backslashes, control
+    /// characters and 2-, 3- and 4-byte UTF-8 scalars.
+    fn random_string(rng: &mut Rng) -> String {
+        let mut s = String::new();
+        for _ in 0..rng.range(0, 12) {
+            match rng.range(0, 6) {
+                0 => (0..rng.range(1, 17)).for_each(|_| s.push(rng.scalar(0x20, 0x7F))),
+                1 => s.push(rng.scalar(0, 0x20)),
+                2 => s.push(if rng.range(0, 2) == 0 { '"' } else { '\\' }),
+                3 => s.push(rng.scalar(0x80, 0x800)),
+                4 => s.push(rng.scalar(0x800, 0x1_0000)),
+                _ => s.push(rng.scalar(0x1_0000, 0x11_0000)),
+            }
+        }
+        s
+    }
+
+    /// The pieces of a random string literal body, each as `(spelling,
+    /// decoded)`: raw runs, every short escape, `\uXXXX` in either hex
+    /// case, and surrogate pairs.
+    fn random_literal(rng: &mut Rng) -> Vec<(String, String)> {
+        const SHORT: [(&str, char); 8] = [
+            ("\\\"", '"'),
+            ("\\\\", '\\'),
+            ("\\/", '/'),
+            ("\\b", '\u{8}'),
+            ("\\f", '\u{c}'),
+            ("\\n", '\n'),
+            ("\\r", '\r'),
+            ("\\t", '\t'),
+        ];
+        let mut pieces = Vec::new();
+        for _ in 0..rng.range(0, 12) {
+            let piece = match rng.range(0, 4) {
+                0 => {
+                    let raw: String = random_string(rng)
+                        .chars()
+                        .filter(|&c| c >= ' ' && c != '"' && c != '\\')
+                        .collect();
+                    (raw.clone(), raw)
+                }
+                1 => {
+                    let (spelling, c) = SHORT[rng.range(0, 8) as usize];
+                    (spelling.to_string(), c.to_string())
+                }
+                2 => {
+                    let c = rng.scalar(0, 0x1_0000);
+                    let hex = if rng.range(0, 2) == 0 {
+                        format!("\\u{:04x}", c as u32)
+                    } else {
+                        format!("\\u{:04X}", c as u32)
+                    };
+                    (hex, c.to_string())
+                }
+                _ => {
+                    let c = rng.scalar(0x1_0000, 0x11_0000);
+                    let mut units = [0u16; 2];
+                    c.encode_utf16(&mut units);
+                    (
+                        format!("\\u{:04x}\\u{:04X}", units[0], units[1]),
+                        c.to_string(),
+                    )
+                }
+            };
+            pieces.push(piece);
+        }
+        pieces
+    }
+
+    #[test]
+    fn string_codec_matches_the_per_char_reference() {
+        let mut rng = Rng(0x5EED_0001);
+        for round in 0..2000 {
+            let s = random_string(&mut rng);
+            let encoded = Json::Str(s.clone()).encode();
+            assert_eq!(encoded, reference_escaped(&s), "round {round}");
+            assert_eq!(
+                Json::parse(&encoded),
+                Ok(Json::Str(s.clone())),
+                "round {round}"
+            );
+            // Keys take the same path as values.
+            roundtrip(&Json::Obj(vec![(s.clone(), Json::Str(s))]));
+        }
+    }
+
+    #[test]
+    fn escaped_spellings_decode_to_their_scalars() {
+        let mut rng = Rng(0x5EED_0002);
+        for round in 0..2000 {
+            let pieces = random_literal(&mut rng);
+            let spelled: String = pieces.iter().map(|(s, _)| s.as_str()).collect();
+            let decoded: String = pieces.iter().map(|(_, d)| d.as_str()).collect();
+            assert_eq!(
+                Json::parse(&format!("\"{spelled}\"")),
+                Ok(Json::Str(decoded)),
+                "round {round}: {spelled:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_control_bytes_fail_at_their_offset() {
+        let mut rng = Rng(0x5EED_0003);
+        for round in 0..2000 {
+            let pieces = random_literal(&mut rng);
+            let cut = rng.range(0, pieces.len() as u32 + 1) as usize;
+            let head: String = pieces[..cut].iter().map(|(s, _)| s.as_str()).collect();
+            let tail: String = pieces[cut..].iter().map(|(s, _)| s.as_str()).collect();
+            let control = rng.scalar(0, 0x20);
+            let input = format!("[\"{head}{control}{tail}\"]");
+            let err = Json::parse(&input).expect_err("raw control byte accepted");
+            assert_eq!(
+                err.message, "raw control character in string",
+                "round {round}"
+            );
+            assert_eq!(err.at, 2 + head.len(), "round {round}: {input:?}");
+            // Without its closing quote the string fails at end of input.
+            let open = format!("\"{head}{tail}");
+            let err = Json::parse(&open).expect_err("unterminated string accepted");
+            assert_eq!(
+                (err.message.as_str(), err.at),
+                ("unterminated string", open.len())
+            );
+        }
     }
 }

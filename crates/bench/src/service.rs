@@ -3,10 +3,14 @@
 //! `gridd` keeps predecoded benchmark programs and the content-addressed
 //! cell cache warm across grid invocations, so a client pays process
 //! startup, decode, and cache load once instead of per run. This module
-//! holds everything testable without sockets:
+//! holds everything but the listener:
 //!
 //! * **Frames** — each protocol message is a 4-byte big-endian length
 //!   prefix followed by that many bytes of JSON (via [`crate::json`]).
+//!   [`write_frame`] sends prefix and payload in one write: split in
+//!   two, Nagle's algorithm holds the payload behind the unacknowledged
+//!   prefix until the peer's delayed ACK fires, which cost tens of
+//!   milliseconds per frame on loopback.
 //!   [`read_frame`] returns `Ok(None)` on a clean EOF at a frame
 //!   boundary; a torn prefix, a truncated body, an oversized length
 //!   ([`MAX_FRAME`]) or non-JSON payload is an error — never a panic —
@@ -21,8 +25,9 @@
 //!   `{"ok":false,"error":…}` — a bad request never kills the service.
 //! * **[`Daemon`]** — the state machine behind the socket loop:
 //!   [`Daemon::handle`] maps one request to one response plus a
-//!   shutdown flag. The `gridd` binary owns the `TcpListener` and feeds
-//!   frames through it.
+//!   shutdown flag. [`serve_connection`] feeds one connection's frames
+//!   through it; the `gridd` binary owns the `TcpListener` and sets up
+//!   each accepted socket with [`prepare_connection`].
 //!
 //! ## Service telemetry
 //!
@@ -40,14 +45,15 @@
 //! `tracereport --service` renders offline from a dumped file.
 
 use crate::cache::{self, CellCache, SourceDigests};
-use crate::grid::{CellStore, GridError, GridMode, Job};
+use crate::grid::{cell_to_json, CellStore, GridError, GridMode, Job};
 use crate::json::Json;
 use schematic_energy::CostTable;
 use schematic_obs::Registry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
-use std::time::Instant;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Upper bound on one frame's payload (16 MiB — a full-grid fetch is
 /// well under 1 MiB; anything bigger is a corrupt or hostile prefix).
@@ -81,22 +87,26 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one length-prefixed JSON frame and flushes.
+/// Writes one length-prefixed JSON frame in a single `write_all` (see
+/// the module docs for why it must be one write) and flushes.
 ///
 /// # Errors
 ///
 /// [`FrameError::Oversize`] when the encoded payload exceeds
 /// [`MAX_FRAME`]; [`FrameError::Io`] on stream failure.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> Result<(), FrameError> {
-    let text = json.encode();
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(FrameError::Oversize(bytes.len()));
+    // Reserve the prefix, encode the payload behind it, then patch the
+    // length in.
+    let mut text = String::from("\0\0\0\0");
+    json.encode_into(&mut text);
+    let mut frame = text.into_bytes();
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversize(len));
     }
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
     let io = |e: std::io::Error| FrameError::Io(e.to_string());
-    w.write_all(&(bytes.len() as u32).to_be_bytes())
-        .map_err(io)?;
-    w.write_all(bytes).map_err(io)?;
+    w.write_all(&frame).map_err(io)?;
     w.flush().map_err(io)
 }
 
@@ -149,6 +159,52 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
 pub fn request(stream: &mut (impl Read + Write), req: &Json) -> Result<Json, FrameError> {
     write_frame(stream, req)?;
     read_frame(stream)?.ok_or(FrameError::Truncated)
+}
+
+/// How long a `gridd` connection may stall one read or write before
+/// the daemon drops it. Requests are served one connection at a time,
+/// so without a bound a client that connects and then idles would
+/// wedge the accept loop for every other client.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Sets up an accepted connection: `TCP_NODELAY` on, and reads and
+/// writes bounded by `timeout` (the daemon passes [`CONN_TIMEOUT`]).
+///
+/// # Errors
+///
+/// The socket option call that failed.
+pub fn prepare_connection(stream: &TcpStream, timeout: Duration) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))
+}
+
+/// Serves one connection until the peer closes it, stalls past its
+/// timeout, or asks for `shutdown`. Returns `true` when a `shutdown`
+/// request was handled.
+pub fn serve_connection(daemon: &mut Daemon, stream: &mut (impl Read + Write)) -> bool {
+    loop {
+        let req = match read_frame(stream) {
+            Ok(Some(req)) => req,
+            Ok(None) => return false, // clean disconnect
+            Err(e) => {
+                // A torn or garbage frame ends this connection, not the
+                // daemon; try to tell the peer why.
+                let _ = write_frame(stream, &error_response(e.to_string()));
+                if !matches!(e, FrameError::Syntax(_) | FrameError::Oversize(_)) {
+                    return false;
+                }
+                continue;
+            }
+        };
+        let (resp, shutdown) = daemon.handle(&req);
+        if write_frame(stream, &resp).is_err() {
+            return shutdown;
+        }
+        if shutdown {
+            return true;
+        }
+    }
 }
 
 fn ok_response(mut fields: Vec<(&str, Json)>) -> Json {
@@ -424,10 +480,10 @@ impl Daemon {
     }
 
     fn fetch(&self) -> Json {
-        let store_lines = self.store.to_jsonl();
-        let cells: Vec<Json> = store_lines
-            .lines()
-            .map(|line| Json::parse(line).expect("store serialization is valid JSON"))
+        let cells = self
+            .store
+            .iter()
+            .map(|(job, value)| cell_to_json(job, value))
             .collect();
         ok_response(vec![("cells", Json::Arr(cells))])
     }
@@ -860,6 +916,95 @@ mod tests {
             assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(m));
         }
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// A sink that records the size of every `write` call, taking at
+    /// most `cap` bytes per call.
+    struct Recorder {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+        cap: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.writes.push(n);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_prefix_and_payload() {
+        let mut d = Daemon::new(GridMode::Quick, None, 0);
+        let (stats, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let big = Json::Str("x".repeat(200_000));
+        for msg in [Json::Null, Json::Str("\u{1F600}\n\"".into()), stats, big] {
+            let payload = msg.encode();
+            let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+            expected.extend_from_slice(payload.as_bytes());
+            let record = |cap| {
+                let mut sink = Recorder {
+                    writes: Vec::new(),
+                    bytes: Vec::new(),
+                    cap,
+                };
+                write_frame(&mut sink, &msg).unwrap();
+                assert_eq!(sink.bytes, expected);
+                sink.writes
+            };
+            assert_eq!(record(usize::MAX), [expected.len()]);
+            // A stream that takes 64 KiB per call still gets the prefix
+            // together with the start of the payload.
+            assert_eq!(record(64 << 10)[0], expected.len().min(64 << 10));
+        }
+    }
+
+    #[test]
+    fn stalled_clients_are_dropped_after_the_timeout() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut d = Daemon::new(GridMode::Quick, None, 0);
+        // One client that never sends, one that stalls mid-frame.
+        for stall in [&[][..], &[0, 0, 0, 9, b'{'][..]] {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(stall).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let (mut conn, _) = listener.accept().unwrap();
+            prepare_connection(&conn, Duration::from_millis(100)).unwrap();
+            assert!(conn.nodelay().unwrap());
+            std::thread::scope(|s| {
+                let server = s.spawn(|| serve_connection(&mut d, &mut conn));
+                // The stalled peer is told why before the daemon moves
+                // on. Without the server timeout this read times out
+                // instead, and closing the client unblocks the server.
+                let resp = read_frame(&mut client);
+                drop(client);
+                assert!(!server.join().unwrap());
+                let resp = resp.expect("the daemon timed out first").unwrap();
+                assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+            });
+        }
+        // The next client is served.
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (mut conn, _) = listener.accept().unwrap();
+        prepare_connection(&conn, Duration::from_millis(100)).unwrap();
+        write_frame(
+            &mut client,
+            &crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]),
+        )
+        .unwrap();
+        assert!(serve_connection(&mut d, &mut conn));
+        let resp = read_frame(&mut client).unwrap().unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== perfbench self-tests (release) =="
+# The benchmark is a package of its own outside the workspace, so the
+# workspace test run above does not reach it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 GRIDDIR="$(mktemp -d)"
 trap 'rm -rf "$GRIDDIR"' EXIT
 
