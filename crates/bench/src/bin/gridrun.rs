@@ -340,10 +340,13 @@ fn write_artifact(path: &str, text: &str) -> Result<(), String> {
 /// in-process pipeline.
 fn spawn_children(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
     let exe = std::env::current_exe().expect("own executable path");
-    let dir = std::env::temp_dir().join(format!("gridrun-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create shard scratch dir");
+    // Removed, and any started child killed and reaped, on every exit.
+    let dir = service::ScratchDir::create(
+        std::env::temp_dir().join(format!("gridrun-{}", std::process::id())),
+    )
+    .expect("create shard scratch dir");
     let files: Vec<PathBuf> = (0..count)
-        .map(|i| dir.join(format!("shard_{i}.jsonl")))
+        .map(|i| dir.path().join(format!("shard_{i}.jsonl")))
         .collect();
 
     let mut children = Vec::new();
@@ -356,10 +359,10 @@ fn spawn_children(spec: &GridSpec, mode: GridMode, count: usize) -> Result<Strin
             .arg(format!("{i}/{count}"))
             .arg("-o")
             .arg(file);
-        children.push((i, cmd.spawn().expect("spawn shard child")));
+        children.push((i, service::Reaped(cmd.spawn().expect("spawn shard child"))));
     }
     for (i, child) in &mut children {
-        let status = child.wait().expect("wait for shard child");
+        let status = child.0.wait().expect("wait for shard child");
         if !status.success() {
             eprintln!("gridrun: shard {i}/{count} child failed: {status}");
             return Err(ExitCode::from(2));
@@ -370,7 +373,7 @@ fn spawn_children(spec: &GridSpec, mode: GridMode, count: usize) -> Result<Strin
         eprintln!("gridrun: {e}");
         ExitCode::from(2)
     })?;
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     let rendered = render_all(&merged, mode);
     let direct = render_all(&CellStore::compute(spec.jobs()), mode);
@@ -500,9 +503,6 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
     stream
         .set_nodelay(true)
         .map_err(|e| format!("connect {addr}: {e}"))?;
-    let obj = |pairs: Vec<(&str, Json)>| {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    };
     let req = match action {
         ClientAction::Submit { spec: which } => {
             let jobs: Vec<Job> = match which.as_str() {
@@ -513,7 +513,7 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
                     spec.shard(i, n)
                 }
             };
-            obj(vec![
+            Json::obj(vec![
                 ("op", Json::Str("submit".into())),
                 (
                     "jobs",
@@ -521,10 +521,10 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
                 ),
             ])
         }
-        ClientAction::Status => obj(vec![("op", Json::Str("status".into()))]),
-        ClientAction::Fetch { .. } => obj(vec![("op", Json::Str("fetch".into()))]),
-        ClientAction::Stats { .. } => obj(vec![("op", Json::Str("stats".into()))]),
-        ClientAction::Shutdown => obj(vec![("op", Json::Str("shutdown".into()))]),
+        ClientAction::Status => Json::obj(vec![("op", Json::Str("status".into()))]),
+        ClientAction::Fetch { .. } => Json::obj(vec![("op", Json::Str("fetch".into()))]),
+        ClientAction::Stats { .. } => Json::obj(vec![("op", Json::Str("stats".into()))]),
+        ClientAction::Shutdown => Json::obj(vec![("op", Json::Str("shutdown".into()))]),
     };
     let resp = service::request(&mut stream, &req).map_err(|e| e.to_string())?;
     if resp.get("ok") != Some(&Json::Bool(true)) {

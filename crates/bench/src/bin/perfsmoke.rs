@@ -22,7 +22,7 @@
 //!   (used by `scripts/ci.sh` to surface throughput in CI logs without
 //!   committing jittery numbers).
 //! - `--emu-only`: measure just the crc/fft emulator throughput (no
-//!   tier ladder, analysis or experiment sections) and print one line
+//!   tier breakdown, analysis or experiment sections) and print one line
 //!   per benchmark; never writes `BENCH_perf.json`. For iterating on
 //!   the emulator hot path.
 //! - `SCHEMATIC_PERF_WINDOW_S` / `SCHEMATIC_PERF_REPS`: override the
@@ -137,16 +137,10 @@ fn emulator_ips(name: &str, table: &CostTable, window_s: f64) -> f64 {
     emulator_ips_tier(name, table, window_s, RunConfig::default().tier)
 }
 
-/// One measurement window per rung of the tier ladder, for the
+/// One measurement window per execution tier, for the
 /// `tier_insts_per_sec` breakdown.
-fn tier_breakdown(name: &str, table: &CostTable, window_s: f64) -> [f64; 4] {
-    [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ]
-    .map(|tier| emulator_ips_tier(name, table, window_s, tier))
+fn tier_breakdown(name: &str, table: &CostTable, window_s: f64) -> [f64; 2] {
+    [ExecTier::Interp, ExecTier::Aot].map(|tier| emulator_ips_tier(name, table, window_s, tier))
 }
 
 /// Same measurement through [`Machine::new`], which predecodes on every
@@ -283,8 +277,8 @@ fn main() {
     let crc_cold_ips = emulator_ips_cold_decode("crc", &table, window_s);
     let fft_cold_ips = emulator_ips_cold_decode("fft", &table, window_s);
     let (crc_ips, fft_ips) = (crc.best, fft.best);
-    let [crc_interp, crc_fused, crc_trace, crc_aot] = tier_breakdown("crc", &table, window_s);
-    let [fft_interp, fft_fused, fft_trace, fft_aot] = tier_breakdown("fft", &table, window_s);
+    let [crc_interp, crc_aot] = tier_breakdown("crc", &table, window_s);
+    let [fft_interp, fft_aot] = tier_breakdown("fft", &table, window_s);
     let crc_stoch = sample(reps, || emulator_ips_stochastic("crc", &table, window_s));
     let fft_stoch = sample(reps, || emulator_ips_stochastic("fft", &table, window_s));
 
@@ -324,8 +318,8 @@ fn main() {
     "fft": {{"before": {BEFORE_FFT_IPS:.0}, "after": {fft_ips:.0}, "p50": {}, "p95": {}, "cold_decode": {fft_cold_ips:.0}, "speedup": {:.2}}}
   }},
   "tier_insts_per_sec": {{
-    "crc": {{"interp": {crc_interp:.0}, "fused": {crc_fused:.0}, "trace": {crc_trace:.0}, "aot": {crc_aot:.0}}},
-    "fft": {{"interp": {fft_interp:.0}, "fused": {fft_fused:.0}, "trace": {fft_trace:.0}, "aot": {fft_aot:.0}}}
+    "crc": {{"interp": {crc_interp:.0}, "aot": {crc_aot:.0}}},
+    "fft": {{"interp": {fft_interp:.0}, "aot": {fft_aot:.0}}}
   }},
   "stochastic_supply_insts_per_sec": {{
     "crc": {{"best": {:.0}, "p50": {}, "p95": {}}},

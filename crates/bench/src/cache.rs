@@ -256,7 +256,7 @@ impl CellCache {
     /// (best-effort: an append failure costs a future recompute, never
     /// the current run).
     pub fn memo_put(&mut self, key: Digest, ims: Vec<Digest>) {
-        let record = crate::grid::obj(vec![
+        let record = Json::obj(vec![
             ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
             ("t", Json::Str("memo".into())),
             ("k", hex(key)),
@@ -276,7 +276,7 @@ impl CellCache {
     /// Records a cell value and appends it to the backing file
     /// (best-effort, like [`CellCache::memo_put`]).
     pub fn cell_put(&mut self, key: Digest, job: &Job, value: CellValue) {
-        let record = crate::grid::obj(vec![
+        let record = Json::obj(vec![
             ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
             ("t", Json::Str("cell".into())),
             ("k", hex(key)),
@@ -310,7 +310,7 @@ impl CellCache {
     pub fn compact(&mut self) -> std::io::Result<()> {
         let mut out = String::new();
         for (&key, ims) in &self.memos {
-            let record = crate::grid::obj(vec![
+            let record = Json::obj(vec![
                 ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
                 ("t", Json::Str("memo".into())),
                 ("k", hex(key)),
@@ -320,7 +320,7 @@ impl CellCache {
             out.push('\n');
         }
         for (&key, (job, value)) in &self.cells {
-            let record = crate::grid::obj(vec![
+            let record = Json::obj(vec![
                 ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
                 ("t", Json::Str("cell".into())),
                 ("k", hex(key)),
@@ -525,7 +525,7 @@ fn worker_record(
             Json::Str(schematic_obs::codec::encode(&t.registry)),
         ));
     }
-    crate::grid::obj(pairs)
+    Json::obj(pairs)
 }
 
 /// Decodes a [`worker_line`], ignoring any telemetry fields — the

@@ -1102,10 +1102,6 @@ fn evaluate_shadow(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 // Artifact codec
 // ---------------------------------------------------------------------
 
-pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 fn opt_str(v: &Option<String>) -> Json {
     match v {
         Some(s) => Json::Str(s.clone()),
@@ -1116,39 +1112,39 @@ fn opt_str(v: &Option<String>) -> Json {
 /// Encodes one cell as a JSON object (one artifact line).
 pub fn cell_to_json(job: &Job, value: &CellValue) -> Json {
     let value_json = match value {
-        CellValue::Support(supported) => obj(vec![("supported", Json::Bool(*supported))]),
-        CellValue::Bare { cycles, data_bytes } => obj(vec![
+        CellValue::Support(supported) => Json::obj(vec![("supported", Json::Bool(*supported))]),
+        CellValue::Bare { cycles, data_bytes } => Json::obj(vec![
             ("cycles", Json::UInt(*cycles)),
             ("data_bytes", Json::UInt(*data_bytes)),
         ]),
         CellValue::Run { outcome, reason } => {
             let outcome_json = match outcome {
-                Some(o) => obj(vec![
+                Some(o) => Json::obj(vec![
                     ("status", Json::Str(status_name(o.status).into())),
                     ("correct", Json::Bool(o.correct)),
                     ("metrics", metrics_to_json(&o.metrics)),
                 ]),
                 None => Json::Null,
             };
-            obj(vec![("outcome", outcome_json), ("reason", opt_str(reason))])
+            Json::obj(vec![("outcome", outcome_json), ("reason", opt_str(reason))])
         }
         CellValue::Measured { metrics, note } => {
             let metrics_json = match metrics {
                 Some(m) => metrics_to_json(m),
                 None => Json::Null,
             };
-            obj(vec![("metrics", metrics_json), ("note", opt_str(note))])
+            Json::obj(vec![("metrics", metrics_json), ("note", opt_str(note))])
         }
         CellValue::Retentive {
             deep_pj,
             retentive_pj,
-        } => obj(vec![
+        } => Json::obj(vec![
             ("deep_pj", Json::UInt(*deep_pj)),
             ("retentive_pj", Json::UInt(*retentive_pj)),
         ]),
         CellValue::Sound { counts, note } => {
             let counts_json = match counts {
-                Some(c) => obj(vec![
+                Some(c) => Json::obj(vec![
                     ("regions", Json::UInt(c.regions)),
                     ("idempotent", Json::UInt(c.idempotent)),
                     ("war_free", Json::UInt(c.war_free)),
@@ -1158,12 +1154,12 @@ pub fn cell_to_json(job: &Job, value: &CellValue) -> Json {
                 ]),
                 None => Json::Null,
             };
-            obj(vec![("counts", counts_json), ("note", opt_str(note))])
+            Json::obj(vec![("counts", counts_json), ("note", opt_str(note))])
         }
         CellValue::Shadow {
             observed,
             unpredicted,
-        } => obj(vec![
+        } => Json::obj(vec![
             (
                 "observed",
                 match observed {
@@ -1187,7 +1183,7 @@ pub fn cell_to_json(job: &Job, value: &CellValue) -> Json {
         other => fields.push(("scenario", Json::Str(other.to_string()))),
     }
     fields.push(("value", value_json));
-    obj(fields)
+    Json::obj(fields)
 }
 
 /// Decodes one artifact line back into a cell.

@@ -53,6 +53,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::process::Child;
 use std::time::{Duration, Instant};
 
 /// Upper bound on one frame's payload (16 MiB — a full-grid fetch is
@@ -210,14 +212,55 @@ pub fn serve_connection(daemon: &mut Daemon, stream: &mut (impl Read + Write)) -
 fn ok_response(mut fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("ok", Json::Bool(true))];
     pairs.append(&mut fields);
-    crate::grid::obj(pairs)
+    Json::obj(pairs)
 }
 
 fn error_response(message: String) -> Json {
-    crate::grid::obj(vec![
+    Json::obj(vec![
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message)),
     ])
+}
+
+/// A scratch directory for one process fan-out (`gridd` worker
+/// batches, `gridrun --spawn` shards), removed with its contents when
+/// dropped — on success and on every error path alike.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Creates `path` (and any missing parents).
+    ///
+    /// # Errors
+    ///
+    /// The directory could not be created.
+    pub fn create(path: PathBuf) -> std::io::Result<ScratchDir> {
+        std::fs::create_dir_all(&path)?;
+        Ok(ScratchDir(path))
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A child process that is killed and reaped when dropped, so an error
+/// path between spawn and wait cannot orphan it. After a successful
+/// `wait` the drop does nothing: std keeps the exit status, and `kill`
+/// on a reaped child is a no-op.
+pub struct Reaped(pub Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 /// The daemon's state: the accumulated cell store, the warm cache, and
@@ -412,22 +455,25 @@ impl Daemon {
     }
 
     /// Spawns the worker processes and collects their artifact texts.
+    /// On any error the batch directory is removed and every worker
+    /// already started is killed and reaped (see [`ScratchDir`] and
+    /// [`Reaped`]).
     fn run_workers(&mut self, misses: &[Job]) -> Result<Vec<String>, GridError> {
         let gridrun = std::env::current_exe()
             .ok()
             .and_then(|p| p.parent().map(|d| d.join("gridrun")))
             .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
-        let dir = std::env::temp_dir().join(format!(
+        let dir = ScratchDir::create(std::env::temp_dir().join(format!(
             "gridd-{}-batch{}",
             std::process::id(),
             self.batches
-        ));
-        std::fs::create_dir_all(&dir).map_err(|e| GridError(format!("mkdir: {e}")))?;
+        )))
+        .map_err(|e| GridError(format!("mkdir: {e}")))?;
         let n = self.workers.min(misses.len());
         let mut children = Vec::with_capacity(n);
         for i in 0..n {
-            let jobs_path = dir.join(format!("jobs-{i}.txt"));
-            let out_path = dir.join(format!("out-{i}.jsonl"));
+            let jobs_path = dir.path().join(format!("jobs-{i}.txt"));
+            let out_path = dir.path().join(format!("out-{i}.jsonl"));
             let keys: String = misses
                 .iter()
                 .skip(i)
@@ -445,12 +491,15 @@ impl Daemon {
             let child = cmd
                 .spawn()
                 .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
-            children.push((child, out_path));
+            children.push((Reaped(child), out_path));
         }
         let mut outputs = Vec::with_capacity(n);
         let mut failed = 0usize;
         for (mut child, out_path) in children {
-            let status = child.wait().map_err(|e| GridError(format!("wait: {e}")))?;
+            let status = child
+                .0
+                .wait()
+                .map_err(|e| GridError(format!("wait: {e}")))?;
             if !status.success() {
                 failed += 1;
                 continue;
@@ -460,7 +509,6 @@ impl Daemon {
                     .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
         if failed > 0 {
             return Err(GridError(format!("{failed} worker process(es) failed")));
         }
@@ -899,7 +947,7 @@ mod tests {
         let msgs = [
             Json::Null,
             Json::Str("hello \u{1F600} \"quoted\"".into()),
-            crate::grid::obj(vec![
+            Json::obj(vec![
                 ("op", Json::Str("submit".into())),
                 (
                     "jobs",
@@ -942,7 +990,7 @@ mod tests {
     #[test]
     fn each_frame_is_one_write_of_prefix_and_payload() {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let (stats, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (stats, _) = d.handle(&Json::obj(vec![("op", Json::Str("stats".into()))]));
         let big = Json::Str("x".repeat(200_000));
         for msg in [Json::Null, Json::Str("\u{1F600}\n\"".into()), stats, big] {
             let payload = msg.encode();
@@ -999,7 +1047,7 @@ mod tests {
         prepare_connection(&conn, Duration::from_millis(100)).unwrap();
         write_frame(
             &mut client,
-            &crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]),
+            &Json::obj(vec![("op", Json::Str("shutdown".into()))]),
         )
         .unwrap();
         assert!(serve_connection(&mut d, &mut conn));
@@ -1012,7 +1060,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(
             &mut buf,
-            &crate::grid::obj(vec![("op", Json::Str("status".into()))]),
+            &Json::obj(vec![("op", Json::Str("status".into()))]),
         )
         .unwrap();
         for cut in 1..buf.len() {
@@ -1063,7 +1111,7 @@ mod tests {
     #[test]
     fn daemon_serves_a_batch_lifecycle() {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let submit = crate::grid::obj(vec![
+        let submit = Json::obj(vec![
             ("op", Json::Str("submit".into())),
             (
                 "jobs",
@@ -1083,18 +1131,15 @@ mod tests {
         // Resubmitting is free: the store already has both cells.
         let (resp, _) = d.handle(&submit);
         assert_eq!(resp.get("computed").and_then(Json::as_u64), Some(0));
-        let (status, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("status".into()))]));
+        let (status, _) = d.handle(&Json::obj(vec![("op", Json::Str("status".into()))]));
         assert_eq!(status.get("cells").and_then(Json::as_u64), Some(2));
         assert_eq!(status.get("batches").and_then(Json::as_u64), Some(2));
-        let (fetch, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("fetch".into()))]));
+        let (fetch, _) = d.handle(&Json::obj(vec![("op", Json::Str("fetch".into()))]));
         let Some(Json::Arr(cells)) = fetch.get("cells") else {
             panic!("fetch returns cells");
         };
         assert_eq!(cells.len(), 2);
-        let (resp, stop) = d.handle(&crate::grid::obj(vec![(
-            "op",
-            Json::Str("shutdown".into()),
-        )]));
+        let (resp, stop) = d.handle(&Json::obj(vec![("op", Json::Str("shutdown".into()))]));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert!(stop);
     }
@@ -1104,9 +1149,9 @@ mod tests {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
         for bad in [
             Json::Null,
-            crate::grid::obj(vec![("op", Json::Str("explode".into()))]),
-            crate::grid::obj(vec![("op", Json::Str("submit".into()))]),
-            crate::grid::obj(vec![
+            Json::obj(vec![("op", Json::Str("explode".into()))]),
+            Json::obj(vec![("op", Json::Str("submit".into()))]),
+            Json::obj(vec![
                 ("op", Json::Str("submit".into())),
                 ("jobs", Json::Arr(vec![Json::Str("not-a-job".into())])),
             ]),
@@ -1116,14 +1161,14 @@ mod tests {
             assert!(!stop);
         }
         // Still alive and serving.
-        let (status, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("status".into()))]));
+        let (status, _) = d.handle(&Json::obj(vec![("op", Json::Str("status".into()))]));
         assert_eq!(status.get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]
     fn stats_op_reports_a_parseable_snapshot() {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let submit = crate::grid::obj(vec![
+        let submit = Json::obj(vec![
             ("op", Json::Str("submit".into())),
             (
                 "jobs",
@@ -1135,7 +1180,7 @@ mod tests {
         ]);
         let (resp, _) = d.handle(&submit);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        let (stats, stop) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (stats, stop) = d.handle(&Json::obj(vec![("op", Json::Str("stats".into()))]));
         assert!(!stop);
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
         let snap = StatsSnapshot::parse(&stats).unwrap();
@@ -1235,7 +1280,7 @@ mod tests {
     fn stats_frames_survive_truncation_oversize_and_garbage() {
         // A realistic stats response frame, then every prefix of it.
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let (resp, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (resp, _) = d.handle(&Json::obj(vec![("op", Json::Str("stats".into()))]));
         let mut buf = Vec::new();
         write_frame(&mut buf, &resp).unwrap();
         for cut in 1..buf.len() {
@@ -1261,7 +1306,7 @@ mod tests {
             }
         }
         // A stats request with stray fields still answers.
-        let (resp, stop) = d.handle(&crate::grid::obj(vec![
+        let (resp, stop) = d.handle(&Json::obj(vec![
             ("op", Json::Str("stats".into())),
             ("extra", Json::UInt(7)),
         ]));

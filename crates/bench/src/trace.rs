@@ -14,7 +14,9 @@
 //! construction).
 //!
 //! Traces serialize through the same offline JSON dialect as the cell
-//! artifacts ([`crate::json`]): one JSON object per cell per line.
+//! artifacts ([`schematic_obs::json`]): one JSON object per cell per
+//! line, each event in the registry codec's event object
+//! ([`codec::event_to_json`]).
 //! `gridrun --trace F` writes the artifact; the `tracereport` binary
 //! renders it — a phase-time table across the grid, the top-K hottest
 //! cells, and a per-run epoch timeline whose final row reproduces the
@@ -35,7 +37,7 @@ use crate::json::Json;
 use crate::parallel::par_map;
 use crate::{render_table, uj};
 use schematic_energy::{CostTable, Energy};
-use schematic_obs as obs;
+use schematic_obs::{self as obs, codec};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -199,64 +201,23 @@ pub fn capture_grid_streaming(
 // Artifact codec
 // ---------------------------------------------------------------------
 
-fn value_to_json(v: &obs::Value) -> Json {
-    match v {
-        obs::Value::U64(n) => Json::UInt(*n),
-        obs::Value::Str(s) => Json::Str(s.clone()),
+/// Decodes the `events` array of a trace line or spill chunk.
+fn events_field(json: &Json) -> Result<Vec<obs::Event>, GridError> {
+    match json.get("events") {
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(|e| codec::event_from_json(e).map_err(GridError))
+            .collect(),
+        _ => Err(GridError("missing or non-array field 'events'".into())),
     }
-}
-
-fn value_from_json(json: &Json) -> Result<obs::Value, GridError> {
-    match json {
-        Json::UInt(n) => Ok(obs::Value::U64(*n)),
-        Json::Str(s) => Ok(obs::Value::Str(s.clone())),
-        other => Err(GridError(format!(
-            "event field value must be integer or string, got {other:?}"
-        ))),
-    }
-}
-
-fn event_to_json(ev: &obs::Event) -> Json {
-    grid::obj(vec![
-        ("kind", Json::Str(ev.kind.clone())),
-        (
-            "fields",
-            Json::Arr(
-                ev.fields
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), value_to_json(v)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn event_from_json(json: &Json) -> Result<obs::Event, GridError> {
-    let kind = grid::str_field(json, "kind")?;
-    let fields_json = match json.get("fields") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'fields'".into())),
-    };
-    let mut fields = Vec::with_capacity(fields_json.len());
-    for item in fields_json {
-        let pair = match item {
-            Json::Arr(p) if p.len() == 2 => p,
-            _ => return Err(GridError("event field must be a [name, value] pair".into())),
-        };
-        let name = pair[0]
-            .as_str()
-            .ok_or_else(|| GridError("event field name must be a string".into()))?;
-        fields.push((name.to_string(), value_from_json(&pair[1])?));
-    }
-    Ok(obs::Event { kind, fields })
 }
 
 /// Encodes one trace as a JSON object (one artifact line).
 pub fn trace_to_json(t: &CellTrace) -> Json {
-    grid::obj(vec![
+    Json::obj(vec![
         (
             "job",
-            grid::obj({
+            Json::obj({
                 let mut fields = vec![
                     ("kind", Json::Str(t.job.kind.name().into())),
                     ("technique", Json::Str(t.job.technique.clone())),
@@ -279,7 +240,7 @@ pub fn trace_to_json(t: &CellTrace) -> Json {
                 t.phases
                     .iter()
                     .map(|p| {
-                        grid::obj(vec![
+                        Json::obj(vec![
                             ("name", Json::Str(p.name.clone())),
                             ("calls", Json::UInt(p.calls)),
                             ("total_nanos", Json::UInt(p.total_nanos)),
@@ -301,7 +262,7 @@ pub fn trace_to_json(t: &CellTrace) -> Json {
         ),
         (
             "events",
-            Json::Arr(t.events.iter().map(event_to_json).collect()),
+            Json::Arr(t.events.iter().map(codec::event_to_json).collect()),
         ),
         ("dropped_events", Json::UInt(t.dropped_events)),
         ("spilled_events", Json::UInt(t.spilled_events)),
@@ -311,14 +272,14 @@ pub fn trace_to_json(t: &CellTrace) -> Json {
 /// Encodes one spill chunk (a streamed-out slice of a cell's event
 /// buffer) as an artifact line: `{"spill":{"job":…,"seq":N,"events":…}}`.
 fn spill_to_json(job: &Job, seq: u64, events: &[obs::Event]) -> Json {
-    grid::obj(vec![(
+    Json::obj(vec![(
         "spill",
-        grid::obj(vec![
+        Json::obj(vec![
             ("job", Json::Str(job.to_string())),
             ("seq", Json::UInt(seq)),
             (
                 "events",
-                Json::Arr(events.iter().map(event_to_json).collect()),
+                Json::Arr(events.iter().map(codec::event_to_json).collect()),
             ),
         ]),
     )])
@@ -328,15 +289,7 @@ fn spill_to_json(job: &Job, seq: u64, events: &[obs::Event]) -> Json {
 fn spill_from_json(json: &Json) -> Result<(String, u64, Vec<obs::Event>), GridError> {
     let job = grid::str_field(json, "job")?;
     let seq = grid::u64_field(json, "seq")?;
-    let events_json = match json.get("events") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'events'".into())),
-    };
-    let events = events_json
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((job, seq, events))
+    Ok((job, seq, events_field(json)?))
 }
 
 /// Decodes one artifact line back into a trace.
@@ -394,14 +347,7 @@ pub fn trace_from_json(json: &Json) -> Result<CellTrace, GridError> {
             .ok_or_else(|| GridError("counter value must be an unsigned integer".into()))?;
         counters.push((name.to_string(), n));
     }
-    let events_json = match json.get("events") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'events'".into())),
-    };
-    let events = events_json
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+    let events = events_field(json)?;
     Ok(CellTrace {
         job,
         wall_nanos: grid::u64_field(json, "wall_nanos")?,
@@ -977,6 +923,26 @@ mod tests {
         );
         let e = from_jsonl(&gap).unwrap_err();
         assert!(e.to_string().contains("missing"), "got: {e}");
+    }
+
+    #[test]
+    fn spill_chunk_bytes_match_golden() {
+        let ev = |kind: &str| obs::Event {
+            kind: kind.into(),
+            fields: vec![
+                ("i".into(), obs::Value::U64(u64::MAX)),
+                (
+                    "name".into(),
+                    obs::Value::Str("q\"b\\n\nc\u{1}d†e😀".into()),
+                ),
+            ],
+        };
+        let events = [ev("tick"), ev("q\"b\\n\nc\u{1}d†e😀")];
+        let line = format!(
+            "{}\n",
+            spill_to_json(&Job::bare("crc"), 3, &events).encode()
+        );
+        assert_eq!(line, include_str!("../tests/goldens/trace_spill.jsonl"));
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Differential fuzz of the emulator's execution tier ladder.
+//! Differential fuzz of the emulator's dispatch paths.
 //!
-//! The whole point of the tier ladder ([`ExecTier`]: per-instruction →
-//! block-fused → trace superblocks → AOT micro-op tapes) is that each
-//! rung is *only* a faster encoding of the one below: every run must
-//! produce bit-identical [`Metrics`], the same result, and the same
-//! trap, no matter the tier. This sweep generates random looping
-//! modules (seeded [`SplitMix64`], deterministic), instruments them
-//! with random checkpoints and VM placements under both failure
-//! policies, runs each case at every tier — with the AOT threshold
-//! dropped to 1 so the tape tier actually builds — and asserts the
-//! outcomes are indistinguishable.
+//! [`ExecTier`] has two engines, the per-instruction reference and the
+//! fused `Aot` engine, and the fused engine has three dispatch paths:
+//! single blocks through the lean block path (path-recording runs),
+//! resident trace superblocks, and AOT micro-op tapes. Each is *only* a
+//! faster encoding of per-instruction stepping: every run must produce
+//! bit-identical [`Metrics`], the same result, and the same trap, no
+//! matter the path. This sweep generates random looping modules
+//! (seeded [`SplitMix64`], deterministic), instruments them with random
+//! checkpoints and VM placements under both failure policies, runs each
+//! case down every path (see [`PATHS`]) and asserts the outcomes are
+//! indistinguishable.
 //!
 //! A golden companion test pins the tier-forcing contract: the shadow
 //! recorder and the phase tracer observe individual accesses/steps, so
 //! enabling either must force the per-instruction tier regardless of
-//! the configured rung.
+//! the configured one.
 
 use schematic_benchsuite::inputs::SplitMix64;
 use schematic_emu::{
@@ -29,6 +30,44 @@ use schematic_ir::{
 
 const CASES: u64 = 256;
 const SEED: u64 = 0x7143_B17E;
+
+/// One dispatch path, as the [`RunConfig`] fields that select it.
+#[derive(Debug, Clone, Copy)]
+struct Path {
+    tier: ExecTier,
+    record_trace: bool,
+    aot_threshold: u32,
+}
+
+/// The per-instruction reference every other path must match.
+const INTERP: Path = Path {
+    tier: ExecTier::Interp,
+    record_trace: false,
+    aot_threshold: 1,
+};
+
+/// Every dispatch path: the reference; the lean single-block path
+/// (path recording keeps `Aot` runs non-resident); resident traces
+/// with a threshold no run reaches, so no tape is ever built; and
+/// tapes built on a trace's first dispatch.
+const PATHS: [Path; 4] = [
+    INTERP,
+    Path {
+        tier: ExecTier::Aot,
+        record_trace: true,
+        aot_threshold: 1,
+    },
+    Path {
+        tier: ExecTier::Aot,
+        record_trace: false,
+        aot_threshold: u32::MAX,
+    },
+    Path {
+        tier: ExecTier::Aot,
+        record_trace: false,
+        aot_threshold: 1,
+    },
+];
 
 /// One random module: a bounded counting loop whose body is 2–4 blocks
 /// of random loads, stores and arithmetic over 2–4 scalars and 1–2
@@ -161,29 +200,30 @@ fn instrument(
     im
 }
 
-/// Runs `im` at `tier` and returns a comparable digest of everything
+/// Runs `im` down `path` and returns a comparable digest of everything
 /// observable: the formatted outcome (result + status + metrics, or
 /// the error).
 ///
 /// One field is deliberately excluded: `peak_vm_bytes`. The fused
-/// tiers establish a block's VM residency up front (the prep pass),
+/// paths establish a block's VM residency up front (the prep pass),
 /// so a copy another block left resident can still be counted toward
 /// the high-water mark when the per-instruction order would have
 /// dropped it (an NVM write earlier in the body) before the next
 /// fault-in. The transient peak gauge is interleaving-sensitive by
 /// nature; every energy, count and cycle total must still match
 /// bit-for-bit.
-fn digest(im: &InstrumentedModule, tbpf: u64, tier: ExecTier) -> String {
-    digest_model(im, PowerModel::Periodic { tbpf }, tier)
+fn digest(im: &InstrumentedModule, tbpf: u64, path: Path) -> String {
+    digest_model(im, PowerModel::Periodic { tbpf }, path)
 }
 
-fn digest_model(im: &InstrumentedModule, power: PowerModel, tier: ExecTier) -> String {
+fn digest_model(im: &InstrumentedModule, power: PowerModel, path: Path) -> String {
     let cfg = RunConfig {
         power,
         svm_bytes: usize::MAX / 2,
         max_active_cycles: 1_000_000,
-        aot_threshold: 1,
-        tier,
+        tier: path.tier,
+        record_trace: path.record_trace,
+        aot_threshold: path.aot_threshold,
         ..RunConfig::default()
     };
     match schematic_emu::run(im, cfg) {
@@ -201,12 +241,6 @@ fn digest_model(im: &InstrumentedModule, power: PowerModel, tier: ExecTier) -> S
 
 #[test]
 fn all_tiers_are_bit_identical() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let mut rng = SplitMix64::new(SEED);
     let mut completed = 0u64;
     for case in 0..CASES {
@@ -218,39 +252,33 @@ fn all_tiers_are_bit_identical() {
         };
         let im = instrument(&mut rng, m, &vars, policy);
         let tbpf = 200 + u64::from(rng.below(2000));
-        let reference = digest(&im, tbpf, ExecTier::Interp);
+        let reference = digest(&im, tbpf, INTERP);
         if !reference.starts_with("error=") {
             completed += 1;
         }
-        for tier in TIERS {
-            let got = digest(&im, tbpf, tier);
+        for path in PATHS {
+            let got = digest(&im, tbpf, path);
             assert_eq!(
                 got, reference,
                 "case {case} (seed {SEED:#x}, policy {policy:?}, tbpf {tbpf}): \
-                 {tier:?} diverged from the per-instruction tier"
+                 {path:?} diverged from the per-instruction tier"
             );
         }
     }
     // The sweep must be non-vacuous: most cases complete (a trapped
-    // case still checks that every tier traps identically).
+    // case still checks that every path traps identically).
     assert!(completed >= 200, "only {completed}/{CASES} cases completed");
 }
 
 /// The stochastic supply draws each window length from its seeded
 /// SplitMix64 stream by *window index*, not by execution order — so the
-/// fused/trace/AOT tiers, which retire whole superblocks between
+/// fused paths, which retire whole blocks or superblocks between
 /// power-failure checks, must still see the exact same window sequence
 /// as the per-instruction tier. This sweep pins that: random modules
-/// under random `mean ± jitter` supplies are bit-identical at all four
-/// rungs.
+/// under random `mean ± jitter` supplies are bit-identical down all
+/// four paths.
 #[test]
 fn stochastic_runs_are_bit_identical_across_tiers() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let mut rng = SplitMix64::new(SEED ^ 0x570C_4A57);
     let mut completed = 0u64;
     for case in 0..CASES {
@@ -267,16 +295,16 @@ fn stochastic_runs_are_bit_identical_across_tiers() {
             jitter: u64::from(rng.below(mean_tbpf as u32 / 2)),
             seed: rng.next_u64(),
         };
-        let reference = digest_model(&im, power, ExecTier::Interp);
+        let reference = digest_model(&im, power, INTERP);
         if !reference.starts_with("error=") {
             completed += 1;
         }
-        for tier in TIERS {
-            let got = digest_model(&im, power, tier);
+        for path in PATHS {
+            let got = digest_model(&im, power, path);
             assert_eq!(
                 got, reference,
                 "case {case} (policy {policy:?}, power {power:?}): \
-                 {tier:?} diverged from the per-instruction tier"
+                 {path:?} diverged from the per-instruction tier"
             );
         }
     }
@@ -284,16 +312,10 @@ fn stochastic_runs_are_bit_identical_across_tiers() {
 }
 
 /// Same contract for a recorded trace: windows come from the interned
-/// table (cycled by window index), so every tier replays the identical
+/// table (cycled by window index), so every path replays the identical
 /// sequence.
 #[test]
 fn trace_supply_runs_are_bit_identical_across_tiers() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let id = schematic_emu::intern_trace(
         "tier-parity-fixture",
         vec![900, 350, 2100, 280, 1500, 410, 777],
@@ -302,12 +324,12 @@ fn trace_supply_runs_are_bit_identical_across_tiers() {
     for case in 0..16 {
         let (m, vars) = random_module(&mut rng);
         let im = instrument(&mut rng, m, &vars, FailurePolicy::WaitRecharge);
-        let reference = digest_model(&im, PowerModel::Trace { id }, ExecTier::Interp);
-        for tier in TIERS {
+        let reference = digest_model(&im, PowerModel::Trace { id }, INTERP);
+        for path in PATHS {
             assert_eq!(
-                digest_model(&im, PowerModel::Trace { id }, tier),
+                digest_model(&im, PowerModel::Trace { id }, path),
                 reference,
-                "case {case}: {tier:?} diverged under the recorded trace"
+                "case {case}: {path:?} diverged under the recorded trace"
             );
         }
     }
@@ -323,7 +345,7 @@ fn shadow_and_trace_modes_force_the_per_instruction_tier() {
         tier: ExecTier::Aot,
         ..RunConfig::default()
     };
-    // Default: the configured rung sticks.
+    // Default: the configured tier sticks.
     assert_eq!(
         Machine::new(&im, &table, base.clone()).effective_tier(),
         ExecTier::Aot

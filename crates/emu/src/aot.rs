@@ -1,5 +1,5 @@
-//! Ahead-of-time trace lowering: the top rung of the execution tier
-//! ladder (see [`ExecTier`](crate::ExecTier)).
+//! Ahead-of-time trace lowering: the tape path of the fused
+//! [`ExecTier::Aot`](crate::ExecTier) engine.
 //!
 //! A hot fusable trace is lowered *once* — after its head block has been
 //! dispatched [`RunConfig::aot_threshold`](crate::RunConfig) times — into

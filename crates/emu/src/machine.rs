@@ -22,25 +22,24 @@ use schematic_ir::{
     AccessKind, BinOp, BlockId, CheckpointId, FuncId, Operand, Reg, UnOp, VarId, VarSet,
 };
 
-/// The emulator's execution-tier ladder, from plain interpretation to
-/// AOT-compiled traces. Each tier is a pure dispatch strategy: metrics,
-/// failure points and results are bit-identical across all four (the
+/// The emulator's two engines: the per-instruction reference and the
+/// fused one. Each is a pure dispatch strategy: metrics, failure points
+/// and results are bit-identical across both (the
 /// fall-back-near-failure guards prove any fused unit is equivalent to
-/// per-instruction stepping). Higher tiers subsume lower ones — a run at
-/// `Aot` still interprets per instruction near power failures.
+/// per-instruction stepping). `Aot` subsumes `Interp` — it still
+/// interprets per instruction near power failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ExecTier {
     /// Per-instruction interpretation only. Forced whenever WAR
     /// shadowing or lifecycle tracing is active, which must observe
     /// every access/step individually.
     Interp,
-    /// Single fusable blocks dispatch as one step (PR-5 behavior).
-    Fused,
-    /// Trace superblocks: chains of fusable blocks across unconditional
-    /// branches dispatch as one step.
-    Trace,
-    /// Hot traces are additionally lowered to closed Rust closures over
-    /// resolved operands (see [`crate::aot`]).
+    /// Fusable blocks dispatch as one step. Path-recording runs take
+    /// single blocks through the lean block path; all other runs stay
+    /// resident across trace superblocks (chains of fusable blocks
+    /// across unconditional branches), and traces dispatched
+    /// [`RunConfig::aot_threshold`] times are lowered to micro-op tapes
+    /// (see [`crate::aot`]).
     Aot,
 }
 
@@ -87,9 +86,9 @@ pub struct RunConfig {
     pub trace: bool,
     /// Highest execution tier the run may use (see [`ExecTier`]); the
     /// effective tier additionally drops to [`ExecTier::Interp`] when
-    /// shadowing or tracing is active. All tiers produce bit-identical
+    /// shadowing or tracing is active. Both tiers produce bit-identical
     /// metrics — except the transient `peak_vm_bytes` gauge, which the
-    /// fused tiers' up-front residency prep can raise past the
+    /// fused engine's up-front residency prep can raise past the
     /// per-instruction interleaving — so this knob exists for
     /// differential testing (`tests/tier_parity.rs`) and the per-tier
     /// perfsmoke breakdown.
@@ -1261,7 +1260,7 @@ impl<'a> Machine<'a> {
         // Staying resident is invisible to the outcome: the run-loop
         // limit checks cannot fire between fused steps (the guard
         // already bounds `active_cycles`, and failures exit the loop).
-        if self.tier >= ExecTier::Fused {
+        if self.tier == ExecTier::Aot {
             while self.frames.last().expect("active frame").ip == 0 {
                 let db = &self.decoded.get().blocks[self.cur_flat as usize];
                 if !db.fusable {
@@ -1271,7 +1270,7 @@ impl<'a> Machine<'a> {
                 // recording falls back to single-block units — and a
                 // non-resident dispatch never consults the trace at
                 // all, so it skips straight to the lean block path.
-                let resident = self.tier >= ExecTier::Trace && !self.config.record_trace;
+                let resident = !self.config.record_trace;
                 let s = if resident {
                     let ti = db
                         .trace_info
@@ -1281,7 +1280,7 @@ impl<'a> Machine<'a> {
                     if multi && self.fused_guard(ti.fused.ub_cost.cycles, ti.insts) {
                         self.step_trace(ti.blocks.len())?
                     } else if self.fused_guard(db.fused.ub_cost.cycles, db.insts.len() as u64) {
-                        // A single-block dispatch at Trace+ can still
+                        // A resident single-block dispatch can still
                         // stay resident (superloop back edges, trace
                         // transitions), so it takes the general path.
                         self.step_trace(1)?
@@ -1452,12 +1451,12 @@ impl<'a> Machine<'a> {
     /// [`FusedCosts`](crate::decoded::FusedCosts) bundle directly.
     ///
     /// Semantically identical to `step_trace(1)` for a dispatch that
-    /// cannot stay resident (`ExecTier::Fused`, or path recording at
-    /// any tier): with no superloop round, no trace transition and no
-    /// tape to consult, the general machinery's per-dispatch setup —
-    /// trace facts, back-edge inspection, the unit tally and its
-    /// `Σ count × bundle` commit — collapses to a single bundle add,
-    /// and paying it anyway is pure overhead. Profiling runs record
+    /// cannot stay resident (path recording): with no superloop round,
+    /// no trace transition and no tape to consult, the general
+    /// machinery's per-dispatch setup — trace facts, back-edge
+    /// inspection, the unit tally and its `Σ count × bundle` commit —
+    /// collapses to a single bundle add, and paying it anyway is pure
+    /// overhead. Profiling runs record
     /// paths and therefore dispatch single blocks millions of times;
     /// this lean path is what keeps them at block-dispatch speed.
     fn step_block_unit(&mut self) -> Result<Step, EmuError> {
@@ -1540,10 +1539,9 @@ impl<'a> Machine<'a> {
     /// trap aborts the whole run, so per-instruction stepping would
     /// produce bit-identical results.
     ///
-    /// At [`ExecTier::Trace`] and above the dispatch is *resident*: it
-    /// stays inside this call across loop rounds (the trace's final
-    /// `CondBr` re-entering the trace, priced by suffix bundles) and
-    /// across trace transitions (a reconcile-free exit edge landing on
+    /// The dispatch is *resident*: it stays inside this call across
+    /// loop rounds (the trace's final `CondBr` re-entering the trace,
+    /// priced by suffix bundles) and across trace transitions (a reconcile-free exit edge landing on
     /// another fusable trace head), re-applying the same guard `step`
     /// would before each unit. Completed units are tallied per
     /// `(head, entry position)` and committed as `Σ count × bundle` at
@@ -1552,17 +1550,15 @@ impl<'a> Machine<'a> {
     /// uniform across the tally (the strict re-execution guard refuses
     /// any unit that would cross `furthest`), and each unit's prep pass
     /// re-checks VM residency so no restore charge is skipped. Path
-    /// recording needs the per-edge `jump`, so `record_trace` keeps
-    /// single-unit dispatch.
+    /// recording needs the per-edge `jump`, so `record_trace` runs take
+    /// [`Self::step_block_unit`] instead.
     ///
-    /// At [`ExecTier::Aot`], a full-length trace whose head has been
-    /// dispatched [`RunConfig::aot_threshold`] times is lowered once to
-    /// a micro-op tape and executed from that thereafter (see
-    /// [`crate::aot`]).
+    /// A full-length trace whose head has been dispatched
+    /// [`RunConfig::aot_threshold`] times is lowered once to a micro-op
+    /// tape and executed from that thereafter (see [`crate::aot`]).
     fn step_trace(&mut self, init_len: usize) -> Result<Step, EmuError> {
         let mut head = self.cur_flat as usize;
         let mut len = init_len;
-        let superloop = self.tier >= ExecTier::Trace && !self.config.record_trace;
         /// Tally entries stop growing past this; a commit is forced
         /// instead (re-dispatch continues the work). Keeps the
         /// per-round tally bump O(small) on pathological CFGs, and
@@ -1638,7 +1634,7 @@ impl<'a> Machine<'a> {
                     // without any count bookkeeping; until then, count
                     // dispatches of the full trace toward the AOT
                     // threshold.
-                    let aot = if self.tier == ExecTier::Aot && full {
+                    let aot = if full {
                         match d.blocks[head].aot.get() {
                             Some(a) => Some(a),
                             None => {
@@ -1658,7 +1654,7 @@ impl<'a> Machine<'a> {
                     // downgraded dispatch ends at the head, whose
                     // terminator is the trace's interior `Br` — never a
                     // `CondBr` — so it gets no back edges.
-                    let back = if superloop && full {
+                    let back = if full {
                         match d.blocks[ti.blocks[len - 1] as usize].term {
                             DTerm::CondBr {
                                 cond,
@@ -1796,7 +1792,7 @@ impl<'a> Machine<'a> {
                                     // remaining rounds through it —
                                     // bit-identical by construction, so
                                     // the switch point is unobservable.
-                                    if aot.is_none() && self.tier == ExecTier::Aot {
+                                    if aot.is_none() {
                                         let count = self.exec_counts[head].saturating_add(1);
                                         self.exec_counts[head] = count;
                                         if count >= self.config.aot_threshold {
@@ -1811,9 +1807,6 @@ impl<'a> Machine<'a> {
                         // onto another fusable trace head stays
                         // resident, re-applying the dispatch guard with
                         // the target's full-trace bundle.
-                        if !superloop {
-                            break 'heads;
-                        }
                         let last = if full {
                             ti.blocks[len - 1] as usize
                         } else {

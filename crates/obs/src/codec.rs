@@ -11,13 +11,13 @@
 //! telemetry aggregated across process boundaries equals telemetry
 //! aggregated in one process.
 //!
-//! The wire form follows the repo's integer-JSON dialect conventions
-//! (see `schematic-bench`'s `json` module): numbers are unsigned
-//! integers only, objects keep insertion order so encoding is
-//! deterministic, strings escape quotes/backslashes/control characters.
-//! The codec carries its own minimal reader/writer because this crate
-//! is intentionally zero-dependency — it must stay importable from
-//! every layer, including the emulator.
+//! The wire form is the repo's integer-JSON dialect, which lives in
+//! [`crate::json`]: numbers are unsigned integers only, objects keep
+//! insertion order so encoding is deterministic, strings escape
+//! quotes/backslashes/control characters. Records are built and read
+//! as [`Json`] values. An event record is [`event_to_json`]'s object
+//! behind the `"t"` tag, the same object the grid's trace artifacts
+//! carry per event.
 //!
 //! One record per line, tagged by `"t"`:
 //!
@@ -32,6 +32,7 @@
 //! buckets), which both keeps worker lines small and makes the
 //! round-trip exact — see [`crate::Histogram::from_parts`].
 
+use crate::json::Json;
 use crate::{Event, Histogram, PhaseStats, Registry, Value};
 use std::fmt;
 
@@ -57,315 +58,77 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------
-// Minimal JSON value (the dialect subset the codec needs)
-// ---------------------------------------------------------------------
-
-/// A JSON value in the codec's dialect: unsigned integers, strings,
-/// arrays, and insertion-ordered objects — no floats, no negatives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JVal {
-    U64(u64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::U64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        match self {
-            JVal::U64(n) => out.push_str(&n.to_string()),
-            JVal::Str(s) => write_escaped(s, out),
-            JVal::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
-            }
-            JVal::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, String> {
-        Err(format!("{} at byte {}", message.into(), self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JVal::Obj(pairs));
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                match text.parse::<u64>() {
-                    Ok(n) => Ok(JVal::U64(n)),
-                    Err(_) => self.err("integer out of u64 range"),
-                }
-            }
-            Some(_) => self.err("unexpected character (dialect is uint/string/array/object)"),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return self.err("expected '\"'");
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes.get(self.pos) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return self.err("invalid low surrogate");
-                                }
-                                let n = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(n).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("invalid \\u escape")?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return self.err("invalid escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => return self.err("raw control character in string"),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return self.err("truncated \\u escape");
-        };
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| format!("non-ASCII \\u escape at byte {}", self.pos))?;
-        let n = u32::from_str_radix(text, 16)
-            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(n)
-    }
-
-    fn parse_line(text: &str) -> Result<JVal, String> {
-        let mut p = Parser::new(text);
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return p.err("trailing bytes after value");
-        }
-        Ok(v)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Registry <-> JSONL
 // ---------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, JVal)>) -> JVal {
-    JVal::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Encodes one event as `{"kind":…,"fields":[[name,value],…]}` — the
+/// event object of both the registry codec (behind its `"t"` tag) and
+/// the grid's trace artifacts.
+pub fn event_to_json(ev: &Event) -> Json {
+    let fields = ev
+        .fields
+        .iter()
+        .map(|(k, v)| {
+            let value = match v {
+                Value::U64(n) => Json::UInt(*n),
+                Value::Str(s) => Json::Str(s.clone()),
+            };
+            Json::Arr(vec![Json::Str(k.clone()), value])
+        })
+        .collect();
+    Json::obj(vec![
+        ("kind", Json::Str(ev.kind.clone())),
+        ("fields", Json::Arr(fields)),
+    ])
 }
 
-fn value_to_jval(v: &Value) -> JVal {
-    match v {
-        Value::U64(n) => JVal::U64(*n),
-        Value::Str(s) => JVal::Str(s.clone()),
+/// Decodes an event object written by [`event_to_json`] (extra keys,
+/// such as the codec's `"t"` tag, are ignored).
+///
+/// # Errors
+///
+/// A message naming the missing or mistyped part.
+pub fn event_from_json(rec: &Json) -> Result<Event, String> {
+    let kind = str_field(rec, "kind")?;
+    let Some(Json::Arr(items)) = rec.get("fields") else {
+        return Err("missing or non-array field 'fields'".into());
+    };
+    let mut fields = Vec::with_capacity(items.len());
+    for item in items {
+        let pair = match item {
+            Json::Arr(p) if p.len() == 2 => p,
+            _ => return Err("event field is not a [name, value] pair".into()),
+        };
+        let key = pair[0].as_str().ok_or("non-string event field name")?;
+        let value = match &pair[1] {
+            Json::UInt(n) => Value::U64(*n),
+            Json::Str(s) => Value::Str(s.clone()),
+            _ => return Err("event field value is not uint or string".into()),
+        };
+        fields.push((key.to_string(), value));
     }
+    Ok(Event {
+        kind: kind.to_string(),
+        fields,
+    })
 }
 
-fn jval_to_value(v: &JVal) -> Option<Value> {
-    match v {
-        JVal::U64(n) => Some(Value::U64(*n)),
-        JVal::Str(s) => Some(Value::Str(s.clone())),
-        _ => None,
-    }
-}
-
-fn span_record(name: &str, stats: &PhaseStats) -> JVal {
-    let buckets: Vec<JVal> = stats
+fn span_record(name: &str, stats: &PhaseStats) -> Json {
+    let buckets: Vec<Json> = stats
         .hist
         .nonzero_buckets()
-        .map(|(i, c)| JVal::Arr(vec![JVal::U64(i as u64), JVal::U64(c)]))
+        .map(|(i, c)| Json::Arr(vec![Json::UInt(i as u64), Json::UInt(c)]))
         .collect();
-    obj(vec![
-        ("t", JVal::Str("span".into())),
-        ("name", JVal::Str(name.into())),
-        ("calls", JVal::U64(stats.calls)),
-        ("total_nanos", JVal::U64(stats.total_nanos)),
-        ("count", JVal::U64(stats.hist.count())),
-        ("sum", JVal::U64(stats.hist.sum())),
-        ("min", JVal::U64(stats.hist.min())),
-        ("max", JVal::U64(stats.hist.max())),
-        ("buckets", JVal::Arr(buckets)),
+    Json::obj(vec![
+        ("t", Json::Str("span".into())),
+        ("name", Json::Str(name.into())),
+        ("calls", Json::UInt(stats.calls)),
+        ("total_nanos", Json::UInt(stats.total_nanos)),
+        ("count", Json::UInt(stats.hist.count())),
+        ("sum", Json::UInt(stats.hist.sum())),
+        ("min", Json::UInt(stats.hist.min())),
+        ("max", Json::UInt(stats.hist.max())),
+        ("buckets", Json::Arr(buckets)),
     ])
 }
 
@@ -375,62 +138,57 @@ fn span_record(name: &str, stats: &PhaseStats) -> JVal {
 /// bytes.
 pub fn encode(reg: &Registry) -> String {
     let mut out = String::new();
-    let mut push = |v: JVal| {
+    let mut push = |v: Json| {
         v.encode_into(&mut out);
         out.push('\n');
     };
-    push(obj(vec![
-        ("t", JVal::Str("reg".into())),
-        ("codec", JVal::U64(CODEC_VERSION)),
-        ("dropped_events", JVal::U64(reg.dropped_events)),
-        ("spilled_events", JVal::U64(reg.spilled_events)),
+    push(Json::obj(vec![
+        ("t", Json::Str("reg".into())),
+        ("codec", Json::UInt(CODEC_VERSION)),
+        ("dropped_events", Json::UInt(reg.dropped_events)),
+        ("spilled_events", Json::UInt(reg.spilled_events)),
     ]));
     for (name, stats) in &reg.spans {
         push(span_record(name, stats));
     }
     for (name, n) in &reg.counters {
-        push(obj(vec![
-            ("t", JVal::Str("counter".into())),
-            ("name", JVal::Str(name.clone())),
-            ("n", JVal::U64(*n)),
+        push(Json::obj(vec![
+            ("t", Json::Str("counter".into())),
+            ("name", Json::Str(name.clone())),
+            ("n", Json::UInt(*n)),
         ]));
     }
     for ev in &reg.events {
-        let fields: Vec<JVal> = ev
-            .fields
-            .iter()
-            .map(|(k, v)| JVal::Arr(vec![JVal::Str(k.clone()), value_to_jval(v)]))
-            .collect();
-        push(obj(vec![
-            ("t", JVal::Str("event".into())),
-            ("kind", JVal::Str(ev.kind.clone())),
-            ("fields", JVal::Arr(fields)),
-        ]));
+        let mut rec = vec![("t".to_string(), Json::Str("event".into()))];
+        if let Json::Obj(pairs) = event_to_json(ev) {
+            rec.extend(pairs);
+        }
+        push(Json::Obj(rec));
     }
     out
 }
 
-fn u64_field(rec: &JVal, key: &str) -> Result<u64, String> {
+fn u64_field(rec: &Json, key: &str) -> Result<u64, String> {
     rec.get(key)
-        .and_then(JVal::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer field '{key}'"))
 }
 
-fn str_field<'a>(rec: &'a JVal, key: &str) -> Result<&'a str, String> {
+fn str_field<'a>(rec: &'a Json, key: &str) -> Result<&'a str, String> {
     rec.get(key)
-        .and_then(JVal::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| format!("missing or non-string field '{key}'"))
 }
 
-fn decode_span(rec: &JVal, reg: &mut Registry) -> Result<(), String> {
+fn decode_span(rec: &Json, reg: &mut Registry) -> Result<(), String> {
     let name = str_field(rec, "name")?;
-    let Some(JVal::Arr(items)) = rec.get("buckets") else {
+    let Some(Json::Arr(items)) = rec.get("buckets") else {
         return Err("missing or non-array field 'buckets'".into());
     };
     let mut sparse = Vec::with_capacity(items.len());
     for item in items {
         let pair = match item {
-            JVal::Arr(p) if p.len() == 2 => p,
+            Json::Arr(p) if p.len() == 2 => p,
             _ => return Err("bucket entry is not an [index, count] pair".into()),
         };
         let idx = pair[0]
@@ -478,7 +236,7 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
         if line.trim().is_empty() {
             continue;
         }
-        let rec = Parser::parse_line(line).map_err(at)?;
+        let rec = Json::parse(line).map_err(|e| at(e.to_string()))?;
         let tag = str_field(&rec, "t").map_err(at)?.to_string();
         if !saw_header {
             if tag != "reg" {
@@ -505,29 +263,7 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
                     return Err(at(format!("duplicate counter '{name}'")));
                 }
             }
-            "event" => {
-                let kind = str_field(&rec, "kind").map_err(at)?;
-                let Some(JVal::Arr(items)) = rec.get("fields") else {
-                    return Err(at("missing or non-array field 'fields'".into()));
-                };
-                let mut fields = Vec::with_capacity(items.len());
-                for item in items {
-                    let pair = match item {
-                        JVal::Arr(p) if p.len() == 2 => p,
-                        _ => return Err(at("event field is not a [name, value] pair".into())),
-                    };
-                    let key = pair[0]
-                        .as_str()
-                        .ok_or_else(|| at("non-string event field name".into()))?;
-                    let value = jval_to_value(&pair[1])
-                        .ok_or_else(|| at("event field value is not uint or string".into()))?;
-                    fields.push((key.to_string(), value));
-                }
-                reg.events.push_back(Event {
-                    kind: kind.to_string(),
-                    fields,
-                });
-            }
+            "event" => reg.events.push_back(event_from_json(&rec).map_err(at)?),
             other => return Err(at(format!("unknown record tag '{other}'"))),
         }
     }
@@ -704,6 +440,22 @@ mod tests {
                 let _ = parse(&text[..cut]);
             }
         }
+    }
+
+    #[test]
+    fn mebibyte_fields_roundtrip() {
+        // One 1 MiB event field value and one 1 MiB counter name, mixing
+        // raw runs with every escape class the writer emits.
+        let long = "run of text \"q\" \\ \n \u{1} † \u{1F600} ".repeat(1 << 15);
+        let long = &long[..long.floor_char_boundary(1 << 20)];
+        let mut reg = Registry::default();
+        reg.counters.insert(long.to_string(), 1);
+        reg.events.push_back(Event {
+            kind: "run_end".into(),
+            fields: vec![("note".into(), Value::Str(long.to_string()))],
+        });
+        let text = encode(&reg);
+        assert_eq!(parse(&text).unwrap(), reg);
     }
 
     #[test]

@@ -27,11 +27,17 @@
 //! Span totals are inclusive wall-clock sums: spans may nest (e.g. the
 //! RCG span runs inside the placement span), so per-name totals are not
 //! mutually exclusive shares of the parent.
+//!
+//! The crate also owns the repo's integer-JSON dialect ([`json`]), the
+//! one reader/writer behind every cross-process artifact: registries
+//! ([`codec`]), and the grid's cell, trace and service-frame formats
+//! built on top of it in `schematic-bench`.
 
 #![warn(missing_docs)]
 
 pub mod codec;
 pub mod hist;
+pub mod json;
 
 pub use hist::Histogram;
 

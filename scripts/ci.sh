@@ -10,6 +10,18 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== schematic-obs stays zero-dependency =="
+# Every layer, the emulator included, imports obs (and its JSON
+# dialect), so it must pull in nothing: its normal-edge dependency
+# tree lists the crate alone.
+OBS_DEPS="$(cargo tree -p schematic-obs -e normal --offline --prefix none \
+  | awk '{print $1}' | sort -u)"
+if [ "$OBS_DEPS" != "schematic-obs" ]; then
+  echo "schematic-obs gained dependencies:"
+  echo "$OBS_DEPS"
+  exit 1
+fi
+
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
