@@ -1,23 +1,24 @@
-//! `gridrun` — the sharded experiment-grid pipeline from the command
-//! line.
+//! `gridrun` — the command-line front end to the experiment grid.
 //!
 //! ```text
 //! gridrun                       # compute the full grid in-process, render every report
 //! gridrun --quick               # CI-sized grid (soundcheck static-only, Schematic+Ratchet)
+//! gridrun --report NAME         # one report: table1|table2|table3|fig6|fig7|fig8|
+//!                               # ablations|soundcheck|robust, computed from its own slice
+//!          [--explain]          # soundcheck only: per-region verdicts + `^hist ` lines
+//!          [--seeds N]          # robust only: N stochastic seeds (default 8) plus every
+//!                               # recorded trace in traces/
 //! gridrun --list                # print the job list, one `kind/technique/benchmark/tbpf` per line
 //! gridrun --shard i/N -o F      # compute shard i of N, write the cells as JSONL to F ('-' = stdout)
 //! gridrun --merge F...          # load shard artifacts, merge, verify coverage, render every report
-//! gridrun --spawn N             # drive N `--shard` child processes, merge their artifacts,
+//! gridrun --spawn N             # evaluate the grid in N `--jobs` worker processes, merge,
 //!                               # assert the render is byte-identical to the in-process run
 //! gridrun --trace F             # compute in-process with tracing on; write the per-cell
 //!                               # trace artifact (JSONL, see `tracereport`) to F
-//! gridrun --report robust       # multi-seed robustness report: completion rate and energy
-//!          [--seeds N]          # spread per technique x benchmark across N stochastic
-//!                               # seeds (default 8) plus every recorded trace in traces/
 //! gridrun --resume F [-o OUT]   # load a (possibly partial) artifact, compute only the
 //!                               # missing cells, render; OUT gets the completed artifact
 //! gridrun --jobs F -o OUT       # worker mode: evaluate the job keys listed in F, write
-//!                               # extended cell lines (cell + program digests + telemetry) to OUT
+//!                               # worker lines (cell + program digests + telemetry) to OUT
 //! gridrun --connect ADDR ...    # thin client for a running `gridd`:
 //!                               #   --submit SPEC   evaluate 'all' or shard 'i/N' remotely
 //!                               #   --status        print daemon tallies
@@ -29,19 +30,22 @@
 //!                               #   --shutdown      stop the daemon
 //! ```
 //!
-//! Worker mode captures a per-job [`schematic_obs`] registry (span
-//! timings, per-job wall latency) and ships it on each artifact line;
-//! `SCHEMATIC_TELEMETRY=0` disables the capture. The ~1 Hz `--shard`
-//! heartbeats follow `SCHEMATIC_PROGRESS` (`0` off, `1` on, unset =
-//! only when stderr is a terminal), so daemon worker children stay
-//! silent by default.
+//! `--report NAME` prints that report alone, with no section header:
+//! byte-for-byte its section of the all-reports render. A failed
+//! soundness check exits 1.
 //!
-//! In-process computes (the default run and `--resume`) go through the
-//! content-addressed cell cache at `target/gridcache.jsonl`
+//! `--spawn` and `gridd --workers` share one fan-out,
+//! [`service::run_workers`]: each worker evaluates its job keys and
+//! writes one [`worker_line`] per job, carrying the job's captured
+//! [`schematic_obs`] registry (span timings, per-job wall latency).
+//!
+//! In-process computes (the default run, `--report` and `--resume`) go
+//! through the content-addressed cell cache at `target/gridcache.jsonl`
 //! (`SCHEMATIC_CACHE` or `--cache F` overrides, `--no-cache` disables,
 //! `--cache-verify` recomputes every hit and fails on divergence).
-//! Shard, worker and merge modes never touch the cache: shards may run
-//! concurrently, and the cache file has a single writer by design.
+//! Shard, worker, spawn and merge modes never touch the cache: shards
+//! may run concurrently, and the cache file has a single writer by
+//! design.
 //!
 //! Shards partition the grid deterministically (every N-th job), so any
 //! split computed anywhere — other processes, other hosts — merges back
@@ -49,21 +53,23 @@
 //! refuses stores with missing cells (it lists them) or conflicting
 //! duplicates; overlapping shards are fine as long as they agree.
 //!
-//! Exit codes: 0 on success, 2 on usage/artifact/coverage errors,
-//! 3 when `--spawn`'s parity assertion fails.
+//! Exit codes: 0 on success, 1 when the soundness check fails, 2 on
+//! usage/artifact/coverage errors, 3 when `--spawn`'s parity assertion
+//! fails.
 
 use schematic_bench::cache::{
-    compute_cached, worker_line, worker_line_telemetry, CellCache, WorkerTelemetry,
+    compute_cached, parse_worker_line, worker_line, CellCache, WorkerTelemetry,
 };
-use schematic_bench::experiments::{render_all, render_robust, robust_jobs};
-use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job};
+use schematic_bench::experiments::{
+    render_all, render_report, render_robust, render_soundcheck_explain, robust_jobs,
+};
+use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job, ReportId};
 use schematic_bench::json::Json;
 use schematic_bench::parallel::par_map;
 use schematic_bench::{service, trace};
 use schematic_energy::CostTable;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 struct Options {
@@ -110,15 +116,17 @@ enum Command {
     },
     /// Merge artifacts and render.
     Merge { files: Vec<String> },
-    /// Drive child processes over all shards, merge, verify parity.
+    /// Evaluate the grid in worker processes, merge, verify parity.
     Spawn { count: usize },
     /// Load a partial artifact, compute the rest, render.
     Resume {
         artifact: String,
         out: Option<String>,
     },
-    /// Worker mode: evaluate listed job keys into extended cell lines.
+    /// Worker mode: evaluate listed job keys into worker lines.
     Jobs { file: String, out: String },
+    /// `--report NAME`: one paper report from its own grid slice.
+    Report { report: ReportId, explain: bool },
     /// `--report robust`: the multi-seed robustness report.
     Robust { seeds: u64 },
     /// Thin client against a running daemon.
@@ -138,6 +146,7 @@ fn usage() -> ! {
         "usage: gridrun [--quick] [--trace FILE] [--cache FILE | --no-cache] [--cache-verify] \
          [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | \
          --resume FILE [-o FILE] | --jobs FILE -o FILE | \
+         --report table1|table2|table3|fig6|fig7|fig8|ablations|soundcheck [--explain] | \
          --report robust [--seeds N] | \
          --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
          --stats [--format expo] [-o FILE] | --shutdown)]"
@@ -162,6 +171,7 @@ fn parse_args() -> Options {
     let mut cache = CacheOpt::Default;
     let mut verify = false;
     let mut seeds = None;
+    let mut explain = false;
     let mut it = args.into_iter().peekable();
     let set = |c: Command, command: &mut Option<Command>| {
         if command.is_some() {
@@ -224,10 +234,20 @@ fn parse_args() -> Options {
                 };
                 set(Command::Jobs { file, out }, &mut command);
             }
-            "--report" => match it.next().as_deref() {
-                Some("robust") => set(Command::Robust { seeds: 8 }, &mut command),
-                _ => usage(),
-            },
+            "--report" => {
+                let name = it.next().unwrap_or_else(|| usage());
+                let report = if name == "robust" {
+                    Command::Robust { seeds: 8 }
+                } else {
+                    let report = ReportId::from_name(&name).unwrap_or_else(|| usage());
+                    Command::Report {
+                        report,
+                        explain: false,
+                    }
+                };
+                set(report, &mut command);
+            }
+            "--explain" => explain = true,
             "--seeds" => {
                 seeds = Some(
                     it.next()
@@ -289,6 +309,18 @@ fn parse_args() -> Options {
         }
         _ => {}
     }
+    if explain {
+        match &mut command {
+            Command::Report {
+                report: ReportId::Soundcheck,
+                explain,
+            } => *explain = true,
+            _ => {
+                eprintln!("gridrun: --explain only applies to --report soundcheck");
+                usage();
+            }
+        }
+    }
     Options {
         mode,
         command,
@@ -308,6 +340,13 @@ fn merge_files(spec: &GridSpec, files: &[PathBuf]) -> Result<CellStore, String> 
             .merge_from(shard)
             .map_err(|e| format!("{}: {e}", file.display()))?;
     }
+    check_coverage(spec, &store)?;
+    Ok(store)
+}
+
+/// Errs, listing the first missing jobs, unless `store` holds every
+/// cell of `spec`.
+fn check_coverage(spec: &GridSpec, store: &CellStore) -> Result<(), String> {
     let missing = store.missing(spec.jobs());
     if !missing.is_empty() {
         let mut msg = format!(
@@ -323,7 +362,7 @@ fn merge_files(spec: &GridSpec, files: &[PathBuf]) -> Result<CellStore, String> 
         }
         return Err(msg);
     }
-    Ok(store)
+    Ok(())
 }
 
 fn write_artifact(path: &str, text: &str) -> Result<(), String> {
@@ -335,57 +374,36 @@ fn write_artifact(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
-/// `--spawn N`: compute every shard in a child `gridrun --shard`
-/// process, merge the artifacts, and demand byte-parity with the
-/// in-process pipeline.
-fn spawn_children(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
-    let exe = std::env::current_exe().expect("own executable path");
-    // Removed, and any started child killed and reaped, on every exit.
-    let dir = service::ScratchDir::create(
-        std::env::temp_dir().join(format!("gridrun-{}", std::process::id())),
-    )
-    .expect("create shard scratch dir");
-    let files: Vec<PathBuf> = (0..count)
-        .map(|i| dir.path().join(format!("shard_{i}.jsonl")))
-        .collect();
-
-    let mut children = Vec::new();
-    for (i, file) in files.iter().enumerate() {
-        let mut cmd = std::process::Command::new(&exe);
-        if mode == GridMode::Quick {
-            cmd.arg("--quick");
-        }
-        cmd.arg("--shard")
-            .arg(format!("{i}/{count}"))
-            .arg("-o")
-            .arg(file);
-        children.push((i, service::Reaped(cmd.spawn().expect("spawn shard child"))));
-    }
-    for (i, child) in &mut children {
-        let status = child.0.wait().expect("wait for shard child");
-        if !status.success() {
-            eprintln!("gridrun: shard {i}/{count} child failed: {status}");
-            return Err(ExitCode::from(2));
-        }
-    }
-
-    let merged = merge_files(spec, &files).map_err(|e| {
+/// `--spawn N`: evaluate the grid in N worker processes through the
+/// shared fan-out ([`service::run_workers`]), fold their lines into one
+/// store, and demand byte-parity with the in-process pipeline.
+fn spawn_workers(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
+    let fail = |e: String| {
         eprintln!("gridrun: {e}");
         ExitCode::from(2)
-    })?;
-    drop(dir);
+    };
+    let exe = std::env::current_exe().map_err(|e| fail(format!("own executable: {e}")))?;
+    let scratch = std::env::temp_dir().join(format!("gridrun-{}", std::process::id()));
+    let outputs = service::run_workers(&exe, mode, spec.jobs(), count, scratch)
+        .map_err(|e| fail(e.to_string()))?;
+    let mut merged = CellStore::new();
+    for line in outputs.iter().flat_map(|text| text.lines()) {
+        let (job, value, _, _) = parse_worker_line(line).map_err(|e| fail(e.to_string()))?;
+        merged.insert(job, value).map_err(|e| fail(e.to_string()))?;
+    }
+    check_coverage(spec, &merged).map_err(fail)?;
 
     let rendered = render_all(&merged, mode);
     let direct = render_all(&CellStore::compute(spec.jobs()), mode);
     if rendered != direct {
         eprintln!(
-            "gridrun: PARITY FAILURE — merged {count}-shard render differs from the \
+            "gridrun: PARITY FAILURE — merged {count}-worker render differs from the \
              in-process render"
         );
         return Err(ExitCode::from(3));
     }
     eprintln!(
-        "gridrun: {count} shards · {} cells · merged render byte-identical to in-process",
+        "gridrun: {count} workers · {} cells · merged render byte-identical to in-process",
         merged.len()
     );
     Ok(rendered)
@@ -434,11 +452,10 @@ fn resume(
     Ok(render_all(&store, opts.mode))
 }
 
-/// `--jobs F -o OUT`: the worker half of the daemon's dispatch — parse
-/// one job key per line, evaluate each (no cache: the parent owns it),
-/// and emit extended artifact lines carrying the program digests plus,
-/// unless `SCHEMATIC_TELEMETRY=0`, a captured per-job registry the
-/// daemon merges into its service telemetry.
+/// `--jobs F -o OUT`: the worker half of [`service::run_workers`] —
+/// parse one job key per line, evaluate each (no cache: the parent owns
+/// it) under a captured [`schematic_obs`] registry, and emit one
+/// [`worker_line`] per job.
 fn run_jobs(file: &str, out: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let mut jobs = Vec::new();
@@ -450,15 +467,8 @@ fn run_jobs(file: &str, out: &str) -> Result<(), String> {
         jobs.push(job);
     }
     let table = CostTable::msp430fr5969();
-    let telemetry_on = std::env::var("SCHEMATIC_TELEMETRY").map_or(true, |v| v != "0");
-    if telemetry_on {
-        schematic_obs::set_enabled(true);
-    }
+    schematic_obs::set_enabled(true);
     let results = par_map(&jobs, |job| {
-        if !telemetry_on {
-            let (value, ims) = evaluate_traced(job, &table);
-            return (value, ims, None);
-        }
         let t0 = Instant::now();
         let ((value, ims), mut registry) = schematic_obs::capture(|| evaluate_traced(job, &table));
         let wall_nanos = t0.elapsed().as_nanos() as u64;
@@ -466,34 +476,20 @@ fn run_jobs(file: &str, out: &str) -> Result<(), String> {
         (
             value,
             ims,
-            Some(WorkerTelemetry {
+            WorkerTelemetry {
                 wall_nanos,
                 registry,
-            }),
+            },
         )
     });
     let mut artifact = String::new();
     for (job, (value, ims, telemetry)) in jobs.iter().zip(&results) {
-        artifact.push_str(&match telemetry {
-            Some(t) => worker_line_telemetry(job, value, ims, t),
-            None => worker_line(job, value, ims),
-        });
+        artifact.push_str(&worker_line(job, value, ims, telemetry));
         artifact.push('\n');
     }
     write_artifact(out, &artifact)?;
     eprintln!("gridrun: worker evaluated {} cells to {out}", jobs.len());
     Ok(())
-}
-
-/// Whether progress heartbeats go to stderr: `SCHEMATIC_PROGRESS=0`
-/// silences them, `=1` (or any other value) forces them, and unset
-/// follows whether stderr is attached to a terminal.
-fn progress_enabled() -> bool {
-    use std::io::IsTerminal as _;
-    match std::env::var("SCHEMATIC_PROGRESS") {
-        Ok(v) => v != "0",
-        Err(_) => std::io::stderr().is_terminal(),
-    }
 }
 
 /// `--connect ADDR`: one request against a running daemon.
@@ -653,34 +649,7 @@ fn main() -> ExitCode {
         }
         Command::Shard { index, count, out } => {
             let jobs = spec.shard(index, count);
-            let start = Instant::now();
-            let last_beat = AtomicU64::new(0);
-            let progress = progress_enabled();
-            if progress {
-                eprintln!(
-                    "gridrun: shard {index}/{count} starting: 0/{} cells",
-                    jobs.len()
-                );
-            }
-            let store = CellStore::compute_with_progress(&jobs, &|done, total| {
-                if !progress {
-                    return;
-                }
-                let elapsed = start.elapsed();
-                let secs = elapsed.as_secs();
-                let prev = last_beat.load(Ordering::Relaxed);
-                let due = secs > prev
-                    && last_beat
-                        .compare_exchange(prev, secs, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                if due || done == total {
-                    eprintln!(
-                        "gridrun: shard {index}/{count} heartbeat: {done}/{total} cells, \
-                         {:.1}s elapsed",
-                        elapsed.as_secs_f64()
-                    );
-                }
-            });
+            let store = CellStore::compute(&jobs);
             match write_artifact(&out, &store.to_jsonl()) {
                 Ok(()) => {
                     eprintln!(
@@ -709,7 +678,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Command::Spawn { count } => match spawn_children(&spec, opts.mode, count) {
+        Command::Spawn { count } => match spawn_workers(&spec, opts.mode, count) {
             Ok(rendered) => {
                 print!("{rendered}");
                 ExitCode::SUCCESS
@@ -735,6 +704,30 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
+        Command::Report { report, explain } => {
+            let slice = GridSpec::for_report(report, opts.mode);
+            match compute(slice.jobs(), &opts) {
+                Ok(store) => {
+                    let (text, pass) = render_report(report, &store, opts.mode);
+                    print!("{text}");
+                    if explain {
+                        print!(
+                            "{}",
+                            render_soundcheck_explain(opts.mode == GridMode::Quick)
+                        );
+                    }
+                    if pass {
+                        ExitCode::SUCCESS
+                    } else {
+                        ExitCode::from(1)
+                    }
+                }
+                Err(e) => {
+                    eprintln!("gridrun: {e}");
+                    ExitCode::from(2)
+                }
+            }
+        }
         // The robustness grid goes through the same cache-aware compute
         // as the paper grid, so `--cache-verify` covers scenario cells.
         Command::Robust { seeds } => match compute(&robust_jobs(seeds), &opts) {

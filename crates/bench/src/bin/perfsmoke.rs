@@ -32,8 +32,8 @@
 //!   reach the 2.0× floor over the recorded baselines (off by default —
 //!   absolute throughput is host-specific).
 
-use schematic_bench::experiments::ROBUST_JITTER;
-use schematic_bench::grid::{GridMode, GridSpec};
+use schematic_bench::experiments::{render_all, ROBUST_JITTER};
+use schematic_bench::grid::{CellStore, GridMode, GridSpec};
 use schematic_bench::{eb_for_tbpf, ENERGY_TBPF, SEED, SVM_BYTES};
 use schematic_core::SchematicConfig;
 use schematic_emu::{DecodedModule, ExecTier, InstrumentedModule, Machine, PowerModel, RunConfig};
@@ -240,14 +240,17 @@ fn grid_cache_wall() -> (f64, f64) {
     (cold, warm)
 }
 
-/// Wall time of one full `exp_all_report` with telemetry collection
+/// Wall time of one full-grid compute and render with telemetry collection
 /// forced on or off. The report contents are identical either way (see
 /// the `service_telemetry` integration test); this measures only the
 /// instrumentation cost.
 fn exp_all_wall(telemetry: bool) -> f64 {
     schematic_obs::set_enabled(telemetry);
     let start = Instant::now();
-    let report = schematic_bench::experiments::exp_all_report();
+    let report = render_all(
+        &CellStore::compute(GridSpec::full_grid(GridMode::Full).jobs()),
+        GridMode::Full,
+    );
     let wall = start.elapsed().as_secs_f64();
     schematic_obs::set_enabled(false);
     std::hint::black_box(report.len());
@@ -288,7 +291,10 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
 
     let start = Instant::now();
-    let report = schematic_bench::experiments::exp_all_report();
+    let report = render_all(
+        &CellStore::compute(GridSpec::full_grid(GridMode::Full).jobs()),
+        GridMode::Full,
+    );
     let exp_all_s = start.elapsed().as_secs_f64();
     assert!(report.contains("Table I"), "exp_all produced a real report");
 

@@ -19,9 +19,11 @@
 //!   memo, which misses the cell, which recomputes — no staleness by
 //!   construction.
 //!
-//! Both keys also fold in [`KEY_SCHEMA_VERSION`]; bump it whenever the
-//! *kernel code* changes what a cell means (the one input content
-//! addressing cannot see).
+//! Both keys also fold in [`CODE_DIGEST`], a build-time hash of every
+//! source file of the result-affecting crates (see `build.rs`), so any
+//! code edit — even a comment — misses every record instead of replaying
+//! a value the current code would no longer compute, and
+//! [`KEY_SCHEMA_VERSION`], which also tags the records on disk.
 //!
 //! The store is an append-only JSONL file (one record per line, via
 //! [`crate::json`]). Loading is tolerant: unparsable or truncated lines
@@ -30,8 +32,8 @@
 //! costs a recompute. Duplicate keys resolve last-writer-wins, and
 //! [`CellCache::open`] compacts the file (rewrite-then-rename) when more
 //! than a third of its lines are dead. Single-writer discipline is the
-//! caller's job: `gridrun` child shards run with the cache off, and in
-//! daemon mode `gridd` is the sole writer.
+//! caller's job: `gridrun` shard and worker processes run with the cache
+//! off, and in daemon mode `gridd` is the sole writer.
 
 use crate::grid::{
     cell_from_json, cell_to_json, evaluate_traced, write_job_identity, CellStore, CellValue,
@@ -46,10 +48,8 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Version of the key derivation *and* of the meaning of the kernels
-/// behind it. Bump on any change to what a cell computes that the
-/// content-addressed inputs cannot express (kernel edits, metric
-/// semantics); every old record then misses and the grid recomputes.
+/// Version of the key derivation and of the on-disk record layout;
+/// records of another version are skipped on load.
 ///
 /// v2: index-sensitive WAR analysis (per-element footprints, region
 /// downgrades, re-execution bounds) changed soundness verdicts.
@@ -59,18 +59,17 @@ use std::path::{Path, PathBuf};
 /// trace) in keys and artifact lines.
 pub const KEY_SCHEMA_VERSION: u64 = 3;
 
-/// Identity of the static soundness analysis the cells' verdicts come
-/// from, folded into every key: cells computed under the
-/// index-insensitive analysis invalidate by construction instead of
-/// replaying stale region classifications.
-pub const ANALYSIS_VERSION: &str = "anomaly/index-sensitive-v1";
+/// Hash of the sources of `crates/{ir,energy,emu,core,baselines,
+/// benchsuite,bench}/src`, computed by `build.rs`: the identity of the
+/// code that computes every cell.
+pub const CODE_DIGEST: &str = env!("SCHEMATIC_CODE_DIGEST");
 
-/// Shared prefix of both keys: schema version, analysis tag, domain
+/// Shared prefix of both keys: schema version, code digest, domain
 /// separator, the full job key, the platform identity, and every
 /// configuration the job's kernel will compile or run with.
-fn write_key_prefix(h: &mut StableHasher, domain: &str, job: &Job, table: &CostTable) {
+fn write_key_prefix(h: &mut StableHasher, code: &str, domain: &str, job: &Job, table: &CostTable) {
     h.write_u64(KEY_SCHEMA_VERSION);
-    h.write_str(ANALYSIS_VERSION);
+    h.write_str(code);
     h.write_str(domain);
     h.write_str(job.kind.name());
     h.write_str(&job.technique);
@@ -85,7 +84,7 @@ fn write_key_prefix(h: &mut StableHasher, domain: &str, job: &Job, table: &CostT
 /// [`hash_module`] digest of the benchmark's built module.
 pub fn memo_key(job: &Job, table: &CostTable, source: Digest) -> Digest {
     let mut h = StableHasher::new();
-    write_key_prefix(&mut h, "memo", job, table);
+    write_key_prefix(&mut h, CODE_DIGEST, "memo", job, table);
     h.write_u64(source.hi);
     h.write_u64(source.lo);
     h.finish()
@@ -96,7 +95,7 @@ pub fn memo_key(job: &Job, table: &CostTable, source: Digest) -> Digest {
 /// kernel reported (in kernel order; empty when nothing compiled).
 pub fn cell_key(job: &Job, table: &CostTable, ims: &[Digest]) -> Digest {
     let mut h = StableHasher::new();
-    write_key_prefix(&mut h, "cell", job, table);
+    write_key_prefix(&mut h, CODE_DIGEST, "cell", job, table);
     h.write_u64(ims.len() as u64);
     for d in ims {
         h.write_u64(d.hi);
@@ -488,68 +487,40 @@ pub struct WorkerTelemetry {
     pub registry: schematic_obs::Registry,
 }
 
-/// Encodes one worker-shard output line: the cell plus its
-/// instrumented-module digests, so a parent with the cache (the daemon)
-/// can append both record kinds without recompiling anything.
-pub fn worker_line(job: &Job, value: &CellValue, ims: &[Digest]) -> String {
-    worker_record(job, value, ims, None).encode()
-}
-
-/// [`worker_line`] with per-job telemetry attached: the registry rides
-/// the line as an embedded [`schematic_obs::codec`] string, so the
-/// digest-carrying artifact stream doubles as the telemetry channel —
-/// no second file, no second protocol.
-pub fn worker_line_telemetry(
+/// Encodes one worker output line: the cell plus its instrumented-module
+/// digests, so a parent with the cache can append both record kinds
+/// without recompiling anything, plus the job's telemetry. The registry
+/// rides the line as an embedded [`schematic_obs::codec`] string, so the
+/// artifact stream doubles as the telemetry channel — no second file, no
+/// second protocol.
+pub fn worker_line(
     job: &Job,
     value: &CellValue,
     ims: &[Digest],
     telemetry: &WorkerTelemetry,
 ) -> String {
-    worker_record(job, value, ims, Some(telemetry)).encode()
-}
-
-fn worker_record(
-    job: &Job,
-    value: &CellValue,
-    ims: &[Digest],
-    telemetry: Option<&WorkerTelemetry>,
-) -> Json {
-    let mut pairs = vec![
+    Json::obj(vec![
         ("cell", cell_to_json(job, value)),
         ("ims", Json::Arr(ims.iter().map(|&d| hex(d)).collect())),
-    ];
-    if let Some(t) = telemetry {
-        pairs.push(("wall_nanos", Json::UInt(t.wall_nanos)));
-        pairs.push((
+        ("wall_nanos", Json::UInt(telemetry.wall_nanos)),
+        (
             "telemetry",
-            Json::Str(schematic_obs::codec::encode(&t.registry)),
-        ));
-    }
-    Json::obj(pairs)
+            Json::Str(schematic_obs::codec::encode(&telemetry.registry)),
+        ),
+    ])
+    .encode()
 }
 
-/// Decodes a [`worker_line`], ignoring any telemetry fields — the
-/// cell-folding path a parent without a registry uses.
+/// Decodes a [`worker_line`].
 ///
 /// # Errors
 ///
-/// A [`GridError`] describing the malformed field.
-pub fn parse_worker_line(line: &str) -> Result<(Job, CellValue, Vec<Digest>), GridError> {
-    parse_worker_line_telemetry(line).map(|(job, value, ims, _)| (job, value, ims))
-}
-
-/// Decodes a worker line including its optional telemetry: `None` when
-/// the line came from a telemetry-off worker (both spellings stay
-/// parseable so mixed fleets interoperate).
-///
-/// # Errors
-///
-/// A [`GridError`] describing the malformed field — including a
-/// present-but-corrupt telemetry payload, which must not silently
-/// vanish from service aggregates.
-pub fn parse_worker_line_telemetry(
+/// A [`GridError`] describing the missing or malformed field — including
+/// absent or corrupt telemetry, which must not silently vanish from
+/// service aggregates.
+pub fn parse_worker_line(
     line: &str,
-) -> Result<(Job, CellValue, Vec<Digest>, Option<WorkerTelemetry>), GridError> {
+) -> Result<(Job, CellValue, Vec<Digest>, WorkerTelemetry), GridError> {
     let json = Json::parse(line).map_err(|e| GridError(e.to_string()))?;
     let cell = json
         .get("cell")
@@ -566,29 +537,25 @@ pub fn parse_worker_line_telemetry(
             .ok_or_else(|| GridError("field 'ims' holds a non-digest entry".into()))?;
         ims.push(d);
     }
-    let telemetry = match (json.get("wall_nanos"), json.get("telemetry")) {
-        (None, None) => None,
-        (Some(wall), Some(text)) => {
-            let wall_nanos = wall
-                .as_u64()
-                .ok_or_else(|| GridError("non-integer field 'wall_nanos'".into()))?;
-            let encoded = text
-                .as_str()
-                .ok_or_else(|| GridError("non-string field 'telemetry'".into()))?;
-            let registry = schematic_obs::codec::parse(encoded)
-                .map_err(|e| GridError(format!("bad telemetry payload: {e}")))?;
-            Some(WorkerTelemetry {
-                wall_nanos,
-                registry,
-            })
-        }
-        _ => {
-            return Err(GridError(
-                "fields 'wall_nanos' and 'telemetry' must appear together".into(),
-            ))
-        }
-    };
-    Ok((job, value, ims, telemetry))
+    let wall_nanos = json
+        .get("wall_nanos")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| GridError("missing or non-integer field 'wall_nanos'".into()))?;
+    let encoded = json
+        .get("telemetry")
+        .and_then(Json::as_str)
+        .ok_or_else(|| GridError("missing or non-string field 'telemetry'".into()))?;
+    let registry = schematic_obs::codec::parse(encoded)
+        .map_err(|e| GridError(format!("bad telemetry payload: {e}")))?;
+    Ok((
+        job,
+        value,
+        ims,
+        WorkerTelemetry {
+            wall_nanos,
+            registry,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -643,6 +610,15 @@ mod tests {
         // The cell key sees the compiled programs.
         let ims = [Digest { hi: 9, lo: 9 }];
         assert_ne!(cell_key(&job, &table, &ims), cell_key(&job, &table, &[]));
+        // The code that computes the cells.
+        let prefix = |code: &str| {
+            let mut h = StableHasher::new();
+            write_key_prefix(&mut h, code, "memo", &job, &table);
+            h.finish()
+        };
+        assert_eq!(prefix(CODE_DIGEST), prefix(CODE_DIGEST));
+        assert_ne!(prefix(CODE_DIGEST), prefix("edited"));
+        assert_eq!(CODE_DIGEST.len(), 32, "a 128-bit hex digest");
     }
 
     #[test]
@@ -735,16 +711,6 @@ mod tests {
             reason: Some("no sound placement: x".into()),
         };
         let ims = vec![Digest { hi: 5, lo: 6 }];
-        let line = worker_line(&job, &value, &ims);
-        let (j2, v2, i2) = parse_worker_line(&line).unwrap();
-        assert_eq!((j2, v2, i2), (job.clone(), value.clone(), ims.clone()));
-        // A plain line carries no telemetry.
-        let (_, _, _, t) = parse_worker_line_telemetry(&line).unwrap();
-        assert!(t.is_none());
-        assert!(parse_worker_line("garbage").is_err());
-        assert!(parse_worker_line("{\"cell\":{}}").is_err());
-
-        // The telemetry spelling round-trips registry and wall time.
         let mut registry = schematic_obs::Registry::default();
         registry.record_span("cell/compile", 1234);
         registry.record_span(&format!("job/{job}"), 5678);
@@ -753,16 +719,22 @@ mod tests {
             wall_nanos: 5678,
             registry,
         };
-        let line = worker_line_telemetry(&job, &value, &ims, &telemetry);
-        let (j2, v2, i2, t2) = parse_worker_line_telemetry(&line).unwrap();
-        assert_eq!((j2, v2, i2), (job, value, ims));
-        assert_eq!(t2, Some(telemetry));
-        // The telemetry-blind parser still folds the cell.
-        assert!(parse_worker_line(&line).is_ok());
+        let line = worker_line(&job, &value, &ims, &telemetry);
+        let (j2, v2, i2, t2) = parse_worker_line(&line).unwrap();
+        assert_eq!((j2, v2, i2), (job.clone(), value.clone(), ims.clone()));
+        assert_eq!(t2, telemetry);
+        assert!(parse_worker_line("garbage").is_err());
+        assert!(parse_worker_line("{\"cell\":{}}").is_err());
+        // A line without telemetry is an error, not a cell with none.
+        let plain = Json::obj(vec![
+            ("cell", cell_to_json(&job, &value)),
+            ("ims", Json::Arr(ims.iter().map(|&d| hex(d)).collect())),
+        ]);
+        assert!(parse_worker_line(&plain.encode()).is_err());
         // A corrupt telemetry payload is an error, not a silent drop.
-        assert!(parse_worker_line_telemetry(
-            &line.replace("\\\"t\\\":\\\"reg\\\"", "\\\"t\\\":\\\"wat\\\"")
-        )
-        .is_err());
+        assert!(
+            parse_worker_line(&line.replace("\\\"t\\\":\\\"reg\\\"", "\\\"t\\\":\\\"wat\\\""))
+                .is_err()
+        );
     }
 }

@@ -1,32 +1,22 @@
-//! Report generators behind the experiment binaries — the **render
-//! layer** of the grid pipeline.
+//! Report generators — the **render layer** of the grid pipeline.
 //!
 //! Each `render_*` function is a pure function from a computed
-//! [`CellStore`] to the report string; the matching `*_report`
-//! convenience wrapper enumerates the report's [`GridSpec`], computes
-//! the store (cells fan out over [`crate::parallel::par_map`] workers,
-//! `SCHEMATIC_JOBS` overrides the count) and renders. `exp_all`
-//! computes the **union** grid once and renders every section from the
-//! same store, so cells shared between reports (fig6 and fig8 read
-//! Table III's `run` cells, Table I reads Table II's `bare` cells) are
-//! evaluated exactly once. Reports are byte-identical no matter how
-//! many workers — or shards (`gridrun`) — computed the store.
+//! [`CellStore`] to the report string; [`render_report`] maps a
+//! [`ReportId`] to its renderer and [`render_all`] renders every section
+//! from one store. `gridrun` computes the store — the **union** grid
+//! for the all-reports run, one report's slice
+//! ([`crate::grid::GridSpec::for_report`]) for `--report NAME` — so
+//! cells shared between reports (fig6 and fig8 read Table III's `run`
+//! cells, Table I reads Table II's `bare` cells) are evaluated exactly
+//! once. Reports are byte-identical no matter how many workers, shards
+//! or cache hits produced the store.
 
-use crate::grid::{CellStore, CellValue, GridMode, GridSpec, Job, ReportId, SoundCounts};
+use crate::grid::{CellStore, CellValue, GridMode, Job, ReportId, SoundCounts, ALL_REPORTS};
 use crate::{
     render_table, technique_names, uj, CellOutcome, Scenario, ENERGY_TBPF, SVM_BYTES, TBPFS,
 };
 use schematic_energy::Energy;
 use std::fmt::Write;
-
-fn store_for(report: ReportId, mode: GridMode) -> CellStore {
-    CellStore::compute(GridSpec::for_report(report, mode).jobs())
-}
-
-/// Table I — ability to support limited VM space (§IV-B).
-pub fn table1_report() -> String {
-    render_table1(&store_for(ReportId::Table1, GridMode::Full))
-}
 
 /// Renders Table I from `store` (needs its `support` and `bare` cells).
 pub fn render_table1(store: &CellStore) -> String {
@@ -74,12 +64,6 @@ fn bare(store: &CellStore, benchmark: &str) -> (u64, u64) {
     }
 }
 
-/// Table II — execution time and minimal number of power failures
-/// (§IV-C).
-pub fn table2_report() -> String {
-    render_table2(&store_for(ReportId::Table2, GridMode::Full))
-}
-
 /// Renders Table II from `store` (needs its `bare` cells).
 pub fn render_table2(store: &CellStore) -> String {
     let mut out = String::new();
@@ -105,11 +89,6 @@ pub fn render_table2(store: &CellStore) -> String {
     )
     .unwrap();
     out
-}
-
-/// Table III — ability to enforce forward progress (§IV-C).
-pub fn table3_report() -> String {
-    render_table3(&store_for(ReportId::Table3, GridMode::Full))
 }
 
 /// Renders Table III from `store` (needs the full `run` grid).
@@ -140,11 +119,6 @@ pub fn render_table3(store: &CellStore) -> String {
     )
     .unwrap();
     out
-}
-
-/// Figure 6 — energy breakdown per technique at TBPF = 10k (§IV-D).
-pub fn fig6_report() -> String {
-    render_fig6(&store_for(ReportId::Fig6, GridMode::Full))
 }
 
 /// Renders Figure 6 from `store` (needs the `run` cells at
@@ -274,11 +248,6 @@ fn measured<'a>(
     }
 }
 
-/// Figure 7 — SCHEMATIC vs All-NVM computation split (§IV-E).
-pub fn fig7_report() -> String {
-    render_fig7(&store_for(ReportId::Fig7, GridMode::Full))
-}
-
 /// Renders Figure 7 from `store` (needs its `fig7` cells).
 ///
 /// A variant without a sound placement (e.g. a kernel whose mandatory
@@ -376,11 +345,6 @@ pub fn render_fig7(store: &CellStore) -> String {
     out
 }
 
-/// Figure 8 — impact of the capacitor size on `crc` (§IV-F).
-pub fn fig8_report() -> String {
-    render_fig8(&store_for(ReportId::Fig8, GridMode::Full))
-}
-
 /// Renders Figure 8 from `store` (needs `crc`'s `run` cells at every
 /// TBPF).
 pub fn render_fig8(store: &CellStore) -> String {
@@ -443,11 +407,6 @@ pub fn render_fig8(store: &CellStore) -> String {
     )
     .unwrap();
     out
-}
-
-/// Extension: ablations of SCHEMATIC's design choices (DESIGN.md §6).
-pub fn ablations_report() -> String {
-    render_ablations(&store_for(ReportId::Ablations, GridMode::Full))
 }
 
 /// Renders the ablation study from `store` (needs its `ablation` and
@@ -541,27 +500,14 @@ pub fn render_ablations(store: &CellStore) -> String {
     out
 }
 
-/// Soundness check (ISSUE 3) — static WAR-hazard classification of every
-/// inter-checkpoint region per technique × benchmark, cross-validated in
-/// full mode against the emulator's shadow recorder across all TBPFs.
-///
-/// Returns the rendered report and whether the check passed: no
-/// `hazardous` region under Schematic or Ratchet, and no observed WAR
-/// the static analysis failed to predict (no false negatives).
-///
-/// `quick` restricts the sweep to Schematic + Ratchet and skips the
-/// shadow runs (static analysis only) — the CI configuration.
-pub fn soundcheck_report(quick: bool) -> (String, bool) {
-    let mode = if quick {
-        GridMode::Quick
-    } else {
-        GridMode::Full
-    };
-    render_soundcheck(&store_for(ReportId::Soundcheck, mode), mode)
-}
-
 /// Renders the soundness check from `store` (needs the `sound` — and in
 /// [`GridMode::Full`], `shadow` — cells of the mode's technique set).
+///
+/// Returns the report and whether the check passed: no `hazardous`
+/// region under Schematic or Ratchet, and no observed WAR the static
+/// analysis failed to predict. [`GridMode::Quick`] sweeps Schematic +
+/// Ratchet statically; [`GridMode::Full`] sweeps all five techniques
+/// and cross-validates with the emulator's shadow recorder.
 pub fn render_soundcheck(store: &CellStore, mode: GridMode) -> (String, bool) {
     let quick = mode == GridMode::Quick;
     let mut out = String::new();
@@ -678,10 +624,11 @@ pub fn render_soundcheck(store: &CellStore, mode: GridMode) -> (String, bool) {
     (out, pass)
 }
 
-/// `soundcheck --explain`: recomputes every technique × benchmark cell
-/// and prints per-region verdicts — class, WAR variables with their
-/// offending footprints and sites, the index facts justifying each
-/// idempotence downgrade, and the worst-case re-execution bound — plus
+/// `gridrun --report soundcheck --explain`: recomputes every technique
+/// × benchmark cell and prints per-region verdicts — class, WAR
+/// variables with their offending footprints and sites, the index facts
+/// justifying each idempotence downgrade, and the worst-case
+/// re-execution bound — plus
 /// machine-greppable histogram lines
 /// (`hist <technique> <benchmark> <regions> <idempotent> <war-free>
 /// <shielded> <hazardous>`) that CI diffs against
@@ -801,7 +748,8 @@ pub fn robust_scenarios(seeds: u64) -> Vec<Scenario> {
 
 /// The robustness grid: every technique × benchmark × scenario `run`
 /// job, in the grid's stable order. Deliberately **not** part of
-/// [`GridSpec::full_grid`] — the paper reports stay byte-identical.
+/// [`crate::grid::GridSpec::full_grid`] — the paper reports stay
+/// byte-identical.
 pub fn robust_jobs(seeds: u64) -> Vec<Job> {
     let mut jobs = Vec::new();
     for tech in technique_names() {
@@ -813,12 +761,6 @@ pub fn robust_jobs(seeds: u64) -> Vec<Job> {
     }
     jobs.sort();
     jobs
-}
-
-/// `gridrun --report robust` (fresh store; the binary routes through
-/// the cell cache instead when one is configured).
-pub fn robust_report(seeds: u64) -> String {
-    render_robust(&CellStore::compute(&robust_jobs(seeds)), seeds)
 }
 
 /// Renders the robustness report from `store` (needs the
@@ -904,35 +846,36 @@ pub fn render_robust(store: &CellStore, seeds: u64) -> String {
     out
 }
 
-/// A report renderer: pure function from the shared store to its text.
-type RenderFn = fn(&CellStore) -> String;
-
-/// Every report in sequence from one shared store, separated like the
-/// old per-binary runner.
-pub fn render_all(store: &CellStore, mode: GridMode) -> String {
-    let sections: [(&str, RenderFn); 7] = [
-        ("table1", render_table1),
-        ("table2", render_table2),
-        ("table3", render_table3),
-        ("fig6", render_fig6),
-        ("fig7", render_fig7),
-        ("fig8", render_fig8),
-        ("ablations", render_ablations),
-    ];
-    let mut out = String::new();
-    for (name, render) in sections {
-        writeln!(out, "\n================ {name} ================\n").unwrap();
-        out.push_str(&render(store));
-    }
-    writeln!(out, "\n================ soundcheck ================\n").unwrap();
-    out.push_str(&render_soundcheck(store, mode).0);
-    out
+/// Renders one report from `store` (which must hold the report's
+/// [`crate::grid::GridSpec::for_report`] cells): its text and whether it
+/// passed. Only the soundness check can fail; `mode` selects its
+/// technique set.
+pub fn render_report(report: ReportId, store: &CellStore, mode: GridMode) -> (String, bool) {
+    let text = match report {
+        ReportId::Table1 => render_table1(store),
+        ReportId::Table2 => render_table2(store),
+        ReportId::Table3 => render_table3(store),
+        ReportId::Fig6 => render_fig6(store),
+        ReportId::Fig7 => render_fig7(store),
+        ReportId::Fig8 => render_fig8(store),
+        ReportId::Ablations => render_ablations(store),
+        ReportId::Soundcheck => return render_soundcheck(store, mode),
+    };
+    (text, true)
 }
 
-/// Every report in sequence. The union grid is computed once — each
-/// cell shared between reports is evaluated a single time — and every
-/// section renders from the same store.
-pub fn exp_all_report() -> String {
-    let store = CellStore::compute(GridSpec::full_grid(GridMode::Full).jobs());
-    render_all(&store, GridMode::Full)
+/// Every report in sequence from one shared store (the full grid), each
+/// under a `==== name ====` section header.
+pub fn render_all(store: &CellStore, mode: GridMode) -> String {
+    let mut out = String::new();
+    for report in ALL_REPORTS {
+        writeln!(
+            out,
+            "\n================ {} ================\n",
+            report.name()
+        )
+        .unwrap();
+        out.push_str(&render_report(report, store, mode).0);
+    }
+    out
 }

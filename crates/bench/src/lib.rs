@@ -1,14 +1,14 @@
 //! # schematic-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§IV). Each binary prints a report generated by
-//! [`experiments`]; independent cells fan out over the [`parallel`]
-//! work-stealing driver (`SCHEMATIC_JOBS` overrides the worker count)
-//! with byte-identical output to a serial run. See `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
-//! results.
+//! The experiment harness behind the paper's evaluation (§IV). One
+//! front end, `gridrun`, computes the experiment grid and prints the
+//! reports generated by [`experiments`]; independent cells fan out over
+//! the [`parallel`] work-stealing driver (`SCHEMATIC_JOBS` overrides the
+//! worker count) with byte-identical output to a serial run. See
+//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
+//! recorded paper-vs-measured results.
 //!
-//! | binary   | regenerates |
+//! | `gridrun --report NAME` | regenerates |
 //! |----------|-------------|
 //! | `table1` | Table I — ability to support limited VM |
 //! | `table2` | Table II — execution time and minimal power failures |
@@ -17,11 +17,18 @@
 //! | `fig7`   | Figure 7 — SCHEMATIC vs All-NVM computation split |
 //! | `fig8`   | Figure 8 — impact of capacitor size on `crc` |
 //! | `ablations` | extension: design-choice ablations (Eq. 2 liveness, gain/size ordering) |
-//! | `soundcheck` | per-region WAR-hazard classification × technique × benchmark, with emulator shadow cross-validation (`--quick` for the CI static sweep) |
-//! | `exp_all` | all of the above in sequence, in-process, from one shared cell store |
-//! | `gridrun` | the grid pipeline: `--shard i/N` computes a slice to a JSONL artifact (with a per-shard progress heartbeat on stderr), `--merge` folds shards back and renders every report, `--spawn N` drives N child processes, `--trace F` captures per-cell traces |
-//! | `tracereport` | renders a `--trace` artifact: phase-time table, hottest cells, per-run epoch timelines with the exact Fig. 6 energy split (see [`trace`]) |
-//! | `perfsmoke` | hot-path timings (best + p50/p95 across repetitions) → `BENCH_perf.json` at the repo root |
+//! | `soundcheck` | per-region WAR-hazard classification × technique × benchmark, with emulator shadow cross-validation (`--quick` for the CI static sweep, `--explain` for per-region verdicts) |
+//! | `robust` | completion rate and energy spread across stochastic seeds and recorded traces (`--seeds N`) |
+//!
+//! Plain `gridrun` renders every paper report from one shared cell
+//! store. Its other modes: `--shard i/N` / `--merge` split and fold the
+//! grid as JSONL artifacts, `--spawn N` evaluates it in N worker
+//! processes through [`service::run_workers`] (the fan-out `gridd
+//! --workers` uses too), `--trace F` captures per-cell traces. The
+//! other binaries: `gridd` (the resident evaluation daemon, see
+//! [`service`]), `tracereport` (renders a `--trace` artifact or a
+//! service registry, see [`trace`]) and `perfsmoke` (hot-path timings →
+//! `BENCH_perf.json` at the repo root).
 //!
 //! Since the data-first grid refactor the computation is layered
 //! (see [`grid`]): a [`grid::GridSpec`] enumerates the experiment

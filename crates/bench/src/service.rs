@@ -32,7 +32,7 @@
 //! ## Service telemetry
 //!
 //! Worker children attach a serialized [`schematic_obs::Registry`] to
-//! every artifact line (see [`cache::worker_line_telemetry`]); the
+//! every artifact line (see [`cache::worker_line`]); the
 //! daemon folds them into one **service registry**, adds a
 //! `service/job_wall` latency histogram per dispatched job, and folds
 //! in the process-global counters (`cache/hit`, `cache/miss`,
@@ -222,10 +222,10 @@ fn error_response(message: String) -> Json {
     ])
 }
 
-/// A scratch directory for one process fan-out (`gridd` worker
-/// batches, `gridrun --spawn` shards), removed with its contents when
+/// A scratch directory for one [`run_workers`] fan-out (a `gridd`
+/// batch, a `gridrun --spawn` run), removed with its contents when
 /// dropped — on success and on every error path alike.
-pub struct ScratchDir(PathBuf);
+struct ScratchDir(PathBuf);
 
 impl ScratchDir {
     /// Creates `path` (and any missing parents).
@@ -233,13 +233,13 @@ impl ScratchDir {
     /// # Errors
     ///
     /// The directory could not be created.
-    pub fn create(path: PathBuf) -> std::io::Result<ScratchDir> {
+    fn create(path: PathBuf) -> std::io::Result<ScratchDir> {
         std::fs::create_dir_all(&path)?;
         Ok(ScratchDir(path))
     }
 
     /// The directory's path.
-    pub fn path(&self) -> &Path {
+    fn path(&self) -> &Path {
         &self.0
     }
 }
@@ -254,13 +254,77 @@ impl Drop for ScratchDir {
 /// path between spawn and wait cannot orphan it. After a successful
 /// `wait` the drop does nothing: std keeps the exit status, and `kill`
 /// on a reaped child is a no-op.
-pub struct Reaped(pub Child);
+struct Reaped(Child);
 
 impl Drop for Reaped {
     fn drop(&mut self) {
         let _ = self.0.kill();
         let _ = self.0.wait();
     }
+}
+
+/// The one process fan-out: partitions `jobs` round-robin over up to
+/// `workers` child `gridrun --jobs` processes (`gridrun` is the binary
+/// to run), each given a job-key file and an output file under
+/// `scratch`, and returns every child's artifact text, one
+/// [`cache::worker_line`] per job. `scratch` is removed on return; on an
+/// error every worker already started is also killed and reaped.
+///
+/// # Errors
+///
+/// A [`GridError`] when the scratch directory or a job file cannot be
+/// written, a child cannot be spawned or waited for, a child fails, or
+/// its output cannot be read.
+pub fn run_workers(
+    gridrun: &Path,
+    mode: GridMode,
+    jobs: &[Job],
+    workers: usize,
+    scratch: PathBuf,
+) -> Result<Vec<String>, GridError> {
+    let dir = ScratchDir::create(scratch).map_err(|e| GridError(format!("mkdir: {e}")))?;
+    let n = workers.min(jobs.len());
+    let mut children = Vec::with_capacity(n);
+    for i in 0..n {
+        let jobs_path = dir.path().join(format!("jobs-{i}.txt"));
+        let out_path = dir.path().join(format!("out-{i}.jsonl"));
+        let keys: String = jobs
+            .iter()
+            .skip(i)
+            .step_by(n)
+            .map(|j| format!("{j}\n"))
+            .collect();
+        std::fs::write(&jobs_path, keys).map_err(|e| GridError(format!("write jobs: {e}")))?;
+        let mut cmd = std::process::Command::new(gridrun);
+        if mode == GridMode::Quick {
+            cmd.arg("--quick");
+        }
+        cmd.arg("--jobs").arg(&jobs_path).arg("-o").arg(&out_path);
+        let child = cmd
+            .spawn()
+            .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
+        children.push((Reaped(child), out_path));
+    }
+    let mut outputs = Vec::with_capacity(n);
+    let mut failed = 0usize;
+    for (mut child, out_path) in children {
+        let status = child
+            .0
+            .wait()
+            .map_err(|e| GridError(format!("wait: {e}")))?;
+        if !status.success() {
+            failed += 1;
+            continue;
+        }
+        outputs.push(
+            std::fs::read_to_string(&out_path)
+                .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
+        );
+    }
+    if failed > 0 {
+        return Err(GridError(format!("{failed} worker process(es) failed")));
+    }
+    Ok(outputs)
 }
 
 /// The daemon's state: the accumulated cell store, the warm cache, and
@@ -281,7 +345,7 @@ pub struct Daemon {
     /// Merged worker telemetry plus daemon-side spans; the `stats` op
     /// snapshots this with the process-global counters folded in.
     service_reg: Registry,
-    /// Jobs whose artifact lines carried a worker registry.
+    /// Jobs evaluated by worker processes.
     worker_jobs: u64,
     /// Sum of per-job wall nanoseconds reported by workers — honest
     /// utilization regardless of dispatch interleaving.
@@ -393,11 +457,12 @@ impl Daemon {
         Ok((stats.hits, stats.computed))
     }
 
-    /// Resolves hits from the warm cache, partitions the misses
-    /// round-robin over `workers` child `gridrun --jobs` processes, and
-    /// folds their extended artifacts (cell + instrumented-module
-    /// digests) back into the store *and* the cache — the daemon stays
-    /// the file's only writer because children never open it.
+    /// Resolves hits from the warm cache, hands the misses to
+    /// [`run_workers`] (the `gridrun` beside this executable), and folds
+    /// the worker lines (cell + instrumented-module digests + telemetry)
+    /// back into the store, the cache and the service registry — the
+    /// daemon stays the cache file's only writer because children never
+    /// open it.
     fn compute_dispatched(&mut self, needed: &[Job]) -> Result<(usize, usize), GridError> {
         let t0 = Instant::now();
         let table = CostTable::msp430fr5969();
@@ -413,32 +478,39 @@ impl Daemon {
         if misses.is_empty() {
             return Ok((hits.len(), 0));
         }
-        let outputs = self.run_workers(&misses)?;
+        let gridrun = std::env::current_exe()
+            .ok()
+            .and_then(|p| p.parent().map(|d| d.join("gridrun")))
+            .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
+        let scratch = std::env::temp_dir().join(format!(
+            "gridd-{}-batch{}",
+            std::process::id(),
+            self.batches
+        ));
+        let outputs = run_workers(&gridrun, self.mode, &misses, self.workers, scratch)?;
         let mut folded = 0;
         for text in outputs {
             for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let (job, value, ims, telemetry) = cache::parse_worker_line_telemetry(line)?;
+                let (job, value, ims, mut t) = cache::parse_worker_line(line)?;
                 if let Some(cache) = &mut self.cache {
                     let source = self.sources.digest(&job.benchmark);
                     let ck = cache::cell_key(&job, &table, &ims);
                     cache.memo_put(cache::memo_key(&job, &table, source), ims);
                     cache.cell_put(ck, &job, value.clone());
                 }
-                if let Some(mut t) = telemetry {
-                    // Keep the aggregates (spans, counters, histograms)
-                    // but not the event logs: a long-lived daemon would
-                    // otherwise hoard them until `stats` frames hit the
-                    // protocol cap. Account them as spilled — the count
-                    // stays visible, the bytes stay in the worker lines.
-                    let spilled = t.registry.events.len() as u64;
-                    t.registry.events.clear();
-                    t.registry.spilled_events += spilled;
-                    self.service_reg.merge_from(t.registry);
-                    self.service_reg
-                        .record_span("service/job_wall", t.wall_nanos);
-                    self.worker_jobs += 1;
-                    self.worker_busy_nanos = self.worker_busy_nanos.saturating_add(t.wall_nanos);
-                }
+                // Keep the aggregates (spans, counters, histograms) but
+                // not the event logs: a long-lived daemon would otherwise
+                // hoard them until `stats` frames hit the protocol cap.
+                // Account them as spilled — the count stays visible, the
+                // bytes stay in the worker lines.
+                let spilled = t.registry.events.len() as u64;
+                t.registry.events.clear();
+                t.registry.spilled_events += spilled;
+                self.service_reg.merge_from(t.registry);
+                self.service_reg
+                    .record_span("service/job_wall", t.wall_nanos);
+                self.worker_jobs += 1;
+                self.worker_busy_nanos = self.worker_busy_nanos.saturating_add(t.wall_nanos);
                 self.store.insert(job, value)?;
                 folded += 1;
             }
@@ -452,67 +524,6 @@ impl Daemon {
             )));
         }
         Ok((hits.len(), folded))
-    }
-
-    /// Spawns the worker processes and collects their artifact texts.
-    /// On any error the batch directory is removed and every worker
-    /// already started is killed and reaped (see [`ScratchDir`] and
-    /// [`Reaped`]).
-    fn run_workers(&mut self, misses: &[Job]) -> Result<Vec<String>, GridError> {
-        let gridrun = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("gridrun")))
-            .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
-        let dir = ScratchDir::create(std::env::temp_dir().join(format!(
-            "gridd-{}-batch{}",
-            std::process::id(),
-            self.batches
-        )))
-        .map_err(|e| GridError(format!("mkdir: {e}")))?;
-        let n = self.workers.min(misses.len());
-        let mut children = Vec::with_capacity(n);
-        for i in 0..n {
-            let jobs_path = dir.path().join(format!("jobs-{i}.txt"));
-            let out_path = dir.path().join(format!("out-{i}.jsonl"));
-            let keys: String = misses
-                .iter()
-                .skip(i)
-                .step_by(n)
-                .map(|j| format!("{j}\n"))
-                .collect();
-            std::fs::write(&jobs_path, keys).map_err(|e| GridError(format!("write jobs: {e}")))?;
-            let mut cmd = std::process::Command::new(&gridrun);
-            if self.mode == GridMode::Quick {
-                cmd.arg("--quick");
-            }
-            cmd.arg("--jobs").arg(&jobs_path).arg("-o").arg(&out_path);
-            // Children report through artifact telemetry, not heartbeats.
-            cmd.env("SCHEMATIC_PROGRESS", "0");
-            let child = cmd
-                .spawn()
-                .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
-            children.push((Reaped(child), out_path));
-        }
-        let mut outputs = Vec::with_capacity(n);
-        let mut failed = 0usize;
-        for (mut child, out_path) in children {
-            let status = child
-                .0
-                .wait()
-                .map_err(|e| GridError(format!("wait: {e}")))?;
-            if !status.success() {
-                failed += 1;
-                continue;
-            }
-            outputs.push(
-                std::fs::read_to_string(&out_path)
-                    .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
-            );
-        }
-        if failed > 0 {
-            return Err(GridError(format!("{failed} worker process(es) failed")));
-        }
-        Ok(outputs)
     }
 
     fn status(&self) -> Json {
@@ -587,7 +598,7 @@ pub struct StatsSnapshot {
     pub cache_cells: u64,
     /// Configured worker process count (`0` = inline).
     pub workers: u64,
-    /// Jobs whose artifact lines carried worker telemetry.
+    /// Jobs evaluated by worker processes.
     pub worker_jobs: u64,
     /// Sum of worker-reported per-job wall nanoseconds.
     pub worker_busy_nanos: u64,

@@ -1,7 +1,15 @@
 //! The parallel experiment driver must be observationally invisible:
 //! every report is byte-identical no matter how many workers run.
 
-use schematic_bench::experiments::{fig8_report, table1_report};
+use schematic_bench::experiments::render_report;
+use schematic_bench::grid::{CellStore, GridMode, GridSpec, ReportId};
+
+/// Computes `report`'s own grid slice and renders it — what `gridrun
+/// --report NAME` prints.
+fn render_slice(report: ReportId) -> String {
+    let store = CellStore::compute(GridSpec::for_report(report, GridMode::Full).jobs());
+    render_report(report, &store, GridMode::Full).0
+}
 
 /// One test function mutates `SCHEMATIC_JOBS` sequentially; splitting
 /// the comparisons across `#[test]`s would race on the process-wide
@@ -9,11 +17,11 @@ use schematic_bench::experiments::{fig8_report, table1_report};
 #[test]
 fn reports_are_identical_across_job_counts() {
     std::env::set_var("SCHEMATIC_JOBS", "1");
-    let table1_serial = table1_report();
-    let fig8_serial = fig8_report();
+    let table1_serial = render_slice(ReportId::Table1);
+    let fig8_serial = render_slice(ReportId::Fig8);
     std::env::set_var("SCHEMATIC_JOBS", "4");
-    let table1_parallel = table1_report();
-    let fig8_parallel = fig8_report();
+    let table1_parallel = render_slice(ReportId::Table1);
+    let fig8_parallel = render_slice(ReportId::Fig8);
     std::env::remove_var("SCHEMATIC_JOBS");
     assert_eq!(table1_serial, table1_parallel);
     assert_eq!(fig8_serial, fig8_parallel);

@@ -16,20 +16,20 @@ fn telemetry_capture_is_invisible_to_grid_output() {
     let spec = GridSpec::full_grid(GridMode::Quick);
     let table = CostTable::msp430fr5969();
 
-    // Telemetry off: the plain worker path.
+    // Telemetry off: plain evaluation.
     schematic_obs::set_enabled(false);
     let mut off = CellStore::new();
-    let mut off_lines = Vec::new();
+    let mut off_cells = Vec::new();
     for job in spec.jobs() {
         let (value, ims) = evaluate_traced(job, &table);
-        off_lines.push(cache::worker_line(job, &value, &ims));
+        off_cells.push((job.clone(), value.clone(), ims));
         off.insert(job.clone(), value).unwrap();
     }
     let off_render = render_all(&off, GridMode::Quick);
 
     // Telemetry on: capture a registry per job exactly as `gridrun
     // --jobs` does (synthetic wall time keeps the artifact lines
-    // deterministic for the blind-reader comparison below).
+    // deterministic).
     schematic_obs::set_enabled(true);
     let mut on = CellStore::new();
     let mut on_lines = Vec::new();
@@ -41,7 +41,7 @@ fn telemetry_capture_is_invisible_to_grid_output() {
             wall_nanos: 1,
             registry,
         };
-        on_lines.push(cache::worker_line_telemetry(job, &value, &ims, &t));
+        on_lines.push(cache::worker_line(job, &value, &ims, &t));
         telemetry.push(t);
         on.insert(job.clone(), value).unwrap();
     }
@@ -51,18 +51,13 @@ fn telemetry_capture_is_invisible_to_grid_output() {
     assert_eq!(on.to_jsonl(), off.to_jsonl());
     assert_eq!(render_all(&on, GridMode::Quick), off_render);
 
-    // A telemetry-carrying line folds to the same cell whether the
-    // reader understands telemetry or not, and the rich reader
-    // round-trips the registry exactly.
-    for ((plain, rich), t) in off_lines.iter().zip(&on_lines).zip(&telemetry) {
-        let (pj, pv, pi) = cache::parse_worker_line(plain).unwrap();
-        let (bj, bv, bi) = cache::parse_worker_line(rich).unwrap();
-        assert_eq!((&pj, &pv, &pi), (&bj, &bv, &bi));
-        let (rj, rv, ri, rt) = cache::parse_worker_line_telemetry(rich).unwrap();
-        assert_eq!((&pj, &pv, &pi), (&rj, &rv, &ri));
-        let rt = rt.expect("rich line carries telemetry");
-        assert_eq!(rt.wall_nanos, t.wall_nanos);
-        assert_eq!(rt.registry, t.registry);
+    // Every worker line parses back to the telemetry-off cell and
+    // program digests, and round-trips its registry exactly.
+    for ((cell, line), t) in off_cells.iter().zip(&on_lines).zip(&telemetry) {
+        let (job, value, ims, parsed) = cache::parse_worker_line(line).unwrap();
+        assert_eq!((&job, &value, &ims), (&cell.0, &cell.1, &cell.2));
+        assert_eq!(parsed.wall_nanos, t.wall_nanos);
+        assert_eq!(parsed.registry, t.registry);
     }
 
     // Every job captured real phase spans, and merging the fleet's

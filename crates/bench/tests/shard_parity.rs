@@ -1,11 +1,13 @@
 //! Shard/merge parity: splitting the quick grid across shards, round-
 //! tripping every shard through the JSONL artifact format and merging
-//! must reproduce the unsharded `exp_all` render byte-for-byte — the
+//! must reproduce the unsharded all-reports render byte-for-byte — the
 //! same observational-invisibility contract `parallel_parity` pins for
 //! the in-process worker count, lifted to the multi-process pipeline.
+//! Each report's own slice (what `gridrun --report NAME` computes) must
+//! render its section alone.
 
-use schematic_bench::experiments::render_all;
-use schematic_bench::grid::{CellStore, GridMode, GridSpec};
+use schematic_bench::experiments::{render_all, render_report};
+use schematic_bench::grid::{CellStore, GridMode, GridSpec, ALL_REPORTS};
 
 #[test]
 fn sharded_merge_renders_byte_identical_exp_all() {
@@ -51,6 +53,24 @@ fn sharded_merge_renders_byte_identical_exp_all() {
         assert!(merged.missing(spec.jobs()).is_empty(), "n = {n}");
         assert_eq!(render_all(&merged, GridMode::Quick), reference, "n = {n}");
     }
+
+    // Every report's slice is complete: restricted to its own jobs, the
+    // reference store renders exactly that report's section.
+    let mut sections = String::new();
+    for report in ALL_REPORTS {
+        let mut slice = CellStore::new();
+        for job in GridSpec::for_report(report, GridMode::Quick).jobs() {
+            let value = reference_store.value(job).clone();
+            slice.insert(job.clone(), value).expect("jobs are unique");
+        }
+        let (text, pass) = render_report(report, &slice, GridMode::Quick);
+        assert!(pass, "{} passes", report.name());
+        sections.push_str(&format!(
+            "\n================ {} ================\n\n{text}",
+            report.name()
+        ));
+    }
+    assert_eq!(sections, reference);
 }
 
 /// A merged store missing cells is rejected before rendering — the

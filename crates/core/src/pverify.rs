@@ -767,15 +767,6 @@ pub fn patch_placement(
             added += 1;
             continue;
         }
-        if std::env::var_os("SCHEMATIC_DEBUG_PATCH").is_some() {
-            eprintln!(
-                "[patch] round: {} violations, first: fn{} {} {}",
-                report.violations.len(),
-                v.func.index(),
-                v.block,
-                v.detail
-            );
-        }
         // A stretch entering a checkpointed callee can only be shortened
         // inside the callee: tighten its conditional periods, else give
         // it an entry checkpoint.

@@ -5,10 +5,10 @@
 //! power-on, checkpoint commit/skip/tear, sleep and wake-up, allocation
 //! migration, power failure and rollback restore — into the calling
 //! thread's observation registry. Tracing is enabled per run by
-//! [`RunConfig::trace`](crate::RunConfig::trace), process-wide by the
-//! `SCHEMATIC_TRACE=1` environment variable, or in-process by
-//! [`set_forced`] (which the grid driver uses to avoid environment
-//! races between threads). Events only land somewhere when the
+//! [`RunConfig::trace`](crate::RunConfig::trace), or process-wide by
+//! [`set_forced`] (which the grid's trace capture uses). No environment
+//! variable turns it on: a run's behaviour depends on its
+//! configuration alone. Events only land somewhere when the
 //! `schematic_obs` collector is also enabled
 //! ([`schematic_obs::set_enabled`]).
 //!
@@ -54,8 +54,8 @@ static FORCED: AtomicBool = AtomicBool::new(false);
 
 /// Forces lifecycle tracing on (or off) for every subsequent run in
 /// this process, regardless of [`RunConfig::trace`](crate::RunConfig::trace)
-/// or the environment. In-process alternative to `SCHEMATIC_TRACE=1`
-/// for multi-threaded drivers, where mutating the environment races.
+/// — for drivers that run many machines they do not configure
+/// individually.
 pub fn set_forced(on: bool) {
     FORCED.store(on, Ordering::Relaxed);
 }

@@ -33,17 +33,21 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 GRIDDIR="$(mktemp -d)"
 trap 'rm -rf "$GRIDDIR"' EXIT
 
-echo "== soundcheck --quick --explain (release) =="
+cargo build --release --offline -p schematic-bench --bin gridrun
+GRIDRUN=target/release/gridrun
+
+echo "== gridrun --report soundcheck --quick --explain (release) =="
 # Static WAR-hazard sweep of Schematic + Ratchet over all 8 benchmarks;
 # exits nonzero if any inter-checkpoint region classifies as hazardous.
 # The per-region explanation appends a greppable region-class histogram
 # (`^hist ` lines) which must match the checked-in golden exactly —
 # any classification drift (a region changing class under the
 # index-sensitive analysis) fails CI until the golden is re-recorded:
-#   cargo run --release -p schematic-bench --bin soundcheck -- \
-#     --quick --explain | grep '^hist ' > tests/goldens/region_classes.txt
-cargo run --release --offline -p schematic-bench --bin soundcheck -- \
-  --quick --explain > "$GRIDDIR/soundcheck.txt"
+#   cargo run --release -p schematic-bench --bin gridrun -- --quick \
+#     --no-cache --report soundcheck --explain \
+#     | grep '^hist ' > tests/goldens/region_classes.txt
+"$GRIDRUN" --quick --no-cache --report soundcheck --explain \
+  > "$GRIDDIR/soundcheck.txt"
 grep '^hist ' "$GRIDDIR/soundcheck.txt" > "$GRIDDIR/region_classes.txt"
 diff -u tests/goldens/region_classes.txt "$GRIDDIR/region_classes.txt"
 echo "region-class histogram matches tests/goldens/region_classes.txt"
@@ -53,9 +57,8 @@ echo "== gridrun shard/merge smoke (release) =="
 # cell-artifact pipeline: compute both shards as separate invocations,
 # merge the JSONL artifacts, and require the merged render to be
 # byte-identical to the single-process render. Then the same through
-# --spawn, which drives real child processes and self-asserts parity.
-cargo build --release --offline -p schematic-bench --bin gridrun
-GRIDRUN=target/release/gridrun
+# --spawn, which runs real `--jobs` worker processes through the fan-out
+# gridd uses and self-asserts parity.
 "$GRIDRUN" --quick --shard 0/2 -o "$GRIDDIR/shard_0.jsonl"
 "$GRIDRUN" --quick --shard 1/2 -o "$GRIDDIR/shard_1.jsonl"
 "$GRIDRUN" --quick --merge "$GRIDDIR"/shard_*.jsonl > "$GRIDDIR/merged.txt"
@@ -113,6 +116,26 @@ echo "complete-artifact resume computed 0 cells, render byte-identical"
 grep -q ", 0 computed" "$GRIDDIR/resume_half.log"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/resumed_half.txt"
 echo "partial-artifact resume completed from cache hits, render byte-identical"
+
+echo "== code edits invalidate the cell cache (release) =="
+# Cache keys fold in a build-time digest of every result crate's
+# sources. Build gridrun from a copy of the tree whose core crate gained
+# one comment line, in its own target dir, and rerun over the cache the
+# steps above warmed: not one cell may be served from it.
+EDITDIR="$GRIDDIR/edited"
+mkdir "$EDITDIR"
+tar -cf - --exclude=./target --exclude=./perfbench/target \
+  --exclude=./.bench_build --exclude=./.bench_work --exclude=./.git . \
+  | tar -xf - -C "$EDITDIR"
+echo "// cache-invalidation probe" >> "$EDITDIR/crates/core/src/lib.rs"
+cargo build --release --offline -q --manifest-path "$EDITDIR/Cargo.toml" \
+  --target-dir "$EDITDIR/target" -p schematic-bench --bin gridrun
+"$EDITDIR/target/release/gridrun" --quick --cache "$CACHE" \
+  > "$GRIDDIR/edited.txt" 2> "$GRIDDIR/edited.log"
+grep -q ": 0 hits, " "$GRIDDIR/edited.log" \
+  || { echo "edited build reused cached cells:"; cat "$GRIDDIR/edited.log"; exit 1; }
+diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/edited.txt"
+echo "comment-only edit recomputed every cell, render byte-identical"
 
 echo "== robustness report smoke (release) =="
 # The multi-seed robustness report over 2 stochastic seeds plus every
